@@ -9,13 +9,14 @@ File formats (UTF-8, LF, tab-separated, `#` comment lines ignored):
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import SAMPLE, SPLIT, SYNTH, stream_rng
+from .rng import SAMPLE, SPLIT, SYNTH, counter_keys, stream_rng
 
 
 class DataError(ValueError):
@@ -56,101 +57,217 @@ class FeatureSample:
     seed: int
 
 
-def _parse_lines(path: str):
+def _read_lines(path: str) -> tuple[list, list]:
+    """(line numbers, lines) of the non-blank, non-comment lines, LF stripped.
+
+    `readlines` splits where iterating the file does: at LF, CRLF and a lone CR.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+        raw = list(map(str.rstrip, fh.readlines(), itertools.repeat("\n")))
+    linenos = [i for i, line in enumerate(raw, start=1) if line and line[0] != "#"]
+    return linenos, raw if len(linenos) == len(raw) else [raw[i - 1] for i in linenos]
 
 
-def _parse_int(tok: str, what: str, path: str, lineno: int) -> int:
+def _parse_int(tok: str, what: str, path: str, lineno: int, limit: int | None = None) -> int:
     try:
         v = int(tok)
     except ValueError:
         raise DataError(f"{path}:{lineno}: {what} is not an integer: {tok!r}") from None
     if v < 0:
         raise DataError(f"{path}:{lineno}: {what} must be non-negative, got {v}")
+    if limit is not None and v >= limit:
+        raise DataError(f"{path}:{lineno}: {what} must be below {limit}, got {v}")
     return v
 
 
-def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDataset:
-    """Load and validate the three files; the features file defines the node universe."""
-    feat_ids: dict[int, np.ndarray] = {}
-    feat_w: dict[int, np.ndarray] = {}
-    for lineno, line in _parse_lines(features_path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{features_path}:{lineno}: expected node<TAB>features, got {line!r}")
-        node = _parse_int(parts[0], "node id", features_path, lineno)
-        if node in feat_ids:
-            raise DataError(f"{features_path}:{lineno}: duplicate feature line for node {node}")
-        ids, ws = [], []
-        for tok in parts[1].split():
-            fid_tok, _, w_tok = tok.partition(":")
-            fid = _parse_int(fid_tok, "feature id", features_path, lineno)
-            if w_tok:
-                try:
-                    w = float(w_tok)
-                except ValueError:
-                    raise DataError(
-                        f"{features_path}:{lineno}: bad feature weight {tok!r}"
-                    ) from None
-            else:
-                w = 1.0
-            if not np.isfinite(w) or w <= 0:
-                raise DataError(
-                    f"{features_path}:{lineno}: weight must be finite and positive, got {w}"
-                )
-            ids.append(fid)
-            ws.append(w)
-        if not ids:
-            raise DataError(f"{features_path}:{lineno}: node {node} has an empty feature list")
-        ids_arr = np.asarray(ids, dtype=np.int64)
-        if len(np.unique(ids_arr)) != len(ids_arr):
-            raise DataError(f"{features_path}:{lineno}: duplicate feature id for node {node}")
-        order = np.argsort(ids_arr)
-        feat_ids[node] = ids_arr[order]
-        feat_w[node] = np.asarray(ws, dtype=np.float64)[order]
+def _weight(tok: str) -> float:
+    """The weight after `id:`; an absent one is 1."""
+    return float(tok) if tok else 1.0
 
-    if not feat_ids:
-        raise DataError(f"{features_path}: no feature lines found")
-    num_nodes = max(feat_ids) + 1
-    missing = [u for u in range(num_nodes) if u not in feat_ids]
-    if missing:
-        raise DataError(f"{features_path}: node {missing[0]} has no feature line")
-    num_features = int(max(arr[-1] for arr in feat_ids.values())) + 1
 
-    raw_edges = []
-    for lineno, line in _parse_lines(edges_path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{edges_path}:{lineno}: expected u<TAB>v, got {line!r}")
-        u = _parse_int(parts[0], "node id", edges_path, lineno)
-        v = _parse_int(parts[1], "node id", edges_path, lineno)
+# ids the node and feature tables are indexed by, and classes, must fit int64;
+# edge and label node ids beyond the node count are dangling instead
+_INT64_END = 1 << 63
+_LAYOUT = {"features": "node<TAB>features", "edges": "u<TAB>v", "labels": "node<TAB>class"}
+
+
+def _check_line(kind: str, path: str, lineno: int, line: str, num_nodes: int, seen) -> None:
+    """Raise the DataError for the first per-line rule that `line` of a `kind` file breaks.
+
+    `seen` holds the node ids of the file's earlier lines; `num_nodes` bounds
+    the ids in edges and labels. `load_dataset` checks whole files in bulk and
+    calls this for the first faulty line only, so the rules' order here is the
+    order their messages take precedence in.
+    """
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise DataError(f"{path}:{lineno}: expected {_LAYOUT[kind]}, got {line!r}")
+    if kind == "edges":
+        u = _parse_int(parts[0], "node id", path, lineno)
+        v = _parse_int(parts[1], "node id", path, lineno)
         if u >= num_nodes or v >= num_nodes:
             raise DataError(
-                f"{edges_path}:{lineno}: edge ({u}, {v}) references a node with no feature line"
+                f"{path}:{lineno}: edge ({u}, {v}) references a node with no feature line"
                 f" (dangling id; {num_nodes} nodes known)"
             )
-        raw_edges.append((u, v))
-    edges, diag = _canonical_edges(raw_edges)
-
-    labels = np.full(num_nodes, -1, dtype=np.int64)
-    for lineno, line in _parse_lines(labels_path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{labels_path}:{lineno}: expected node<TAB>class, got {line!r}")
-        node = _parse_int(parts[0], "node id", labels_path, lineno)
-        cls = _parse_int(parts[1], "class id", labels_path, lineno)
+    elif kind == "labels":
+        node = _parse_int(parts[0], "node id", path, lineno)
+        _parse_int(parts[1], "class id", path, lineno, _INT64_END)
         if node >= num_nodes:
-            raise DataError(
-                f"{labels_path}:{lineno}: label for unknown node {node} (dangling id)"
-            )
-        if labels[node] >= 0:
-            raise DataError(f"{labels_path}:{lineno}: duplicate label for node {node}")
-        labels[node] = cls
+            raise DataError(f"{path}:{lineno}: label for unknown node {node} (dangling id)")
+        if node in seen:
+            raise DataError(f"{path}:{lineno}: duplicate label for node {node}")
+    else:
+        node = _parse_int(parts[0], "node id", path, lineno, _INT64_END)
+        if node in seen:
+            raise DataError(f"{path}:{lineno}: duplicate feature line for node {node}")
+        ids = []
+        for tok in parts[1].split():
+            fid_tok, _, w_tok = tok.partition(":")
+            ids.append(_parse_int(fid_tok, "feature id", path, lineno, _INT64_END))
+            try:
+                w = _weight(w_tok)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad feature weight {tok!r}") from None
+            if not np.isfinite(w) or w <= 0:
+                raise DataError(
+                    f"{path}:{lineno}: weight must be finite and positive, got {w}"
+                )
+        if not ids:
+            raise DataError(f"{path}:{lineno}: node {node} has an empty feature list")
+        if len(set(ids)) != len(ids):
+            raise DataError(f"{path}:{lineno}: duplicate feature id for node {node}")
+    raise RuntimeError(f"{path}:{lineno}: flagged by the bulk checks, but no rule rejects it")
+
+
+def _raise_first_fault(kind, path, linenos, lines, bad, num_nodes=0, nodes=None) -> None:
+    """Report the first line that `bad` marks, if any, through `_check_line`."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        seen = set(nodes[:k].tolist()) if nodes is not None else ()
+        _check_line(kind, path, linenos[k], lines[k], num_nodes, seen)
+
+
+def _split_pairs(lines: list) -> tuple[list, list, np.ndarray]:
+    """The two tab-separated fields of each line, and a mask of the lines that
+    do not have exactly two (their fields read as empty)."""
+    bad = np.fromiter(map(str.count, lines, itertools.repeat("\t")), np.int64, len(lines)) != 1
+    if bad.any():
+        lines = ["\t" if b else line for line, b in zip(lines, bad.tolist())]
+    fields = "\t".join(lines).split("\t") if lines else []
+    return fields[0::2], fields[1::2], bad
+
+
+def _column(tokens: list, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """`convert` of every token as one array, and a mask of the tokens it rejects
+    with ValueError or whose value `dtype` cannot hold; those read as 0."""
+    try:
+        return np.fromiter(map(convert, tokens), dtype, len(tokens)), np.zeros(len(tokens), bool)
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(len(tokens), dtype=dtype)
+    bad = np.zeros(len(tokens), dtype=bool)
+    for i, tok in enumerate(tokens):
+        try:
+            values[i] = convert(tok)
+        except (ValueError, OverflowError):
+            bad[i] = True
+    return values, bad
+
+
+def _parse_pairs(lines: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two integer fields of each `a<TAB>b` line, and a mask of the lines
+    whose layout or integers do not parse."""
+    first, second, bad = _split_pairs(lines)
+    a, bad_a = _column(first, int, np.int64)
+    b, bad_b = _column(second, int, np.int64)
+    return a, b, bad | bad_a | bad_b
+
+
+def _parse_features(lines: list) -> tuple:
+    """(node ids, bag sizes, line faults, feature ids, weights, token faults) of
+    `node<TAB>tok ...` lines; token arrays are flat, in file order."""
+    node_toks, bags, bad = _split_pairs(lines)
+    nodes, bad_node = _column(node_toks, int, np.int64)
+    bag_toks = list(map(str.split, bags))
+    sizes = np.fromiter(map(len, bag_toks), dtype=np.int64, count=len(bag_toks))
+    toks = list(itertools.chain.from_iterable(bag_toks))
+    if any(":" in bag for bag in bags):
+        pieces = [tok.partition(":") for tok in toks]
+        fids, bad_tok = _column([p[0] for p in pieces], int, np.int64)
+        weights, bad_w = _column([p[2] for p in pieces], _weight, np.float64)
+        bad_tok |= bad_w | ~np.isfinite(weights) | (weights <= 0)
+    else:
+        fids, bad_tok = _column(toks, int, np.int64)
+        weights = np.ones(len(toks))
+    return nodes, sizes, bad | bad_node, fids, weights, bad_tok
+
+
+# lines parsed at a time: bounds the token strings alive at once, and with
+# them the memory the parse leaves behind
+_CHUNK_LINES = 1 << 16
+
+
+def _parse_chunked(parse, lines: list) -> list:
+    """`parse` over consecutive blocks of `lines`, each output concatenated."""
+    blocks = [parse(lines[i : i + _CHUNK_LINES]) for i in range(0, len(lines), _CHUNK_LINES)]
+    return [np.concatenate(out) for out in zip(*(blocks or [parse([])]))]
+
+
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose value already occurs at an earlier position."""
+    order = np.argsort(values, kind="stable")
+    rep = np.zeros(len(values), dtype=bool)
+    rep[order[1:]] = values[order[1:]] == values[order[:-1]]
+    return rep
+
+
+def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDataset:
+    """Load and validate the three files; the features file defines the node universe.
+
+    Each file is parsed into flat token arrays and checked as a whole; on a
+    fault, the first faulty line in file order is reported with the message of
+    the first rule it breaks (see `_check_line`).
+    """
+    linenos, lines = _read_lines(features_path)
+    nodes, sizes, bad, fids, weights, bad_tok = _parse_chunked(_parse_features, lines)
+    bad |= (nodes < 0) | _repeats(nodes) | (sizes == 0)
+    tok_line = np.repeat(np.arange(len(lines)), sizes)
+    bad[tok_line[bad_tok | (fids < 0)]] = True
+    # one sort by (node, id): finds an id repeated on a line, and is the
+    # ascending per-node layout that feature_ids slices
+    order = np.lexsort((fids, nodes[tok_line]))
+    fids, weights, tok_line = fids[order], weights[order], tok_line[order]
+    repeated = (fids[1:] == fids[:-1]) & (tok_line[1:] == tok_line[:-1])
+    bad[tok_line[1:][repeated]] = True
+    _raise_first_fault("features", features_path, linenos, lines, bad, nodes=nodes)
+
+    if not lines:
+        raise DataError(f"{features_path}: no feature lines found")
+    num_nodes = int(nodes.max()) + 1
+    if num_nodes != len(lines):
+        missing = int(np.argmax(np.sort(nodes) != np.arange(len(lines))))
+        raise DataError(f"{features_path}: node {missing} has no feature line")
+    num_features = int(fids.max()) + 1
+    node_sizes = np.empty_like(sizes)
+    node_sizes[nodes] = sizes
+    ends = np.cumsum(node_sizes)
+    bounds = list(zip((ends - node_sizes).tolist(), ends.tolist()))
+
+    linenos, lines = _read_lines(edges_path)
+    u, v, bad = _parse_chunked(_parse_pairs, lines)
+    bad |= (np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes)
+    _raise_first_fault("edges", edges_path, linenos, lines, bad, num_nodes=num_nodes)
+    edges, diag = _canonical_edges(np.column_stack([u, v]))
+
+    linenos, lines = _read_lines(labels_path)
+    labeled, classes, bad = _parse_chunked(_parse_pairs, lines)
+    bad |= (np.minimum(labeled, classes) < 0) | (labeled >= num_nodes) | _repeats(labeled)
+    _raise_first_fault(
+        "labels", labels_path, linenos, lines, bad, num_nodes=num_nodes, nodes=labeled
+    )
+    labels = np.full(num_nodes, -1, dtype=np.int64)
+    labels[labeled] = classes
     num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
 
     diag.update(
@@ -165,8 +282,8 @@ def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDa
         num_features=num_features,
         num_classes=num_classes,
         edges=edges,
-        feature_ids=[feat_ids[u] for u in range(num_nodes)],
-        feature_weights=[feat_w[u] for u in range(num_nodes)],
+        feature_ids=[fids[a:b] for a, b in bounds],
+        feature_weights=[weights[a:b] for a, b in bounds],
         labels=labels,
         diagnostics=diag,
     )
@@ -249,27 +366,41 @@ def make_split(ds: RawDataset, seed: int) -> SplitAssignment:
 
 
 def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
-    """Fixed-size feature sample per node, deterministic per (seed, node).
+    """Fixed-size feature sample per node; row u depends only on (seed, u, S_u).
 
-    |S| >= n_f: n_f distinct ids uniformly without replacement (|S| == n_f is
-    the whole set, order shuffled). |S| < n_f: all of S plus uniform fill with
-    replacement.
+    Slot j of node u's bag S_u (ascending ids) gets the key
+    `counter_keys(seed, SAMPLE, u, j)`. |S| >= n_f: the n_f slots with the
+    smallest keys, in key order, which is uniform sampling without
+    replacement (random-key sampling; |S| == n_f is the whole set, order
+    shuffled). |S| < n_f: all of S in key order, then slot j >= |S| fills
+    with S[key(u, j) mod |S|], uniform with replacement up to a bias below
+    |S| / 2**64.
     """
     if n_f < 1:
         raise ValueError(f"n_f must be >= 1, got {n_f}")
+    # the outputs are allocated before the temporaries: a long-lived block
+    # allocated after them would pin the freed memory above it in the heap
     ids = np.empty((ds.num_nodes, n_f), dtype=np.int64)
     weights = np.empty((ds.num_nodes, n_f))
-    for u in range(ds.num_nodes):
-        s = ds.feature_ids[u]
-        w = ds.feature_weights[u]
-        rng = stream_rng(seed, SAMPLE, substream=u)
-        if len(s) >= n_f:
-            pick = rng.choice(len(s), size=n_f, replace=False)
-        else:
-            fill = rng.integers(0, len(s), size=n_f - len(s))
-            pick = np.concatenate([np.arange(len(s)), fill])
-        ids[u] = s[pick]
-        weights[u] = w[pick]
+    sizes = np.fromiter(map(len, ds.feature_ids), dtype=np.int64, count=ds.num_nodes)
+    flat_ids = np.concatenate(ds.feature_ids)
+    flat_w = np.concatenate(ds.feature_weights)
+    starts = np.cumsum(sizes) - sizes
+    row = np.repeat(np.arange(ds.num_nodes), sizes)
+    slot = np.arange(len(flat_ids)) - starts[row]
+    # rows are already contiguous, so sorting by (row, key) keeps each row at
+    # its offsets: position i of `order` holds the row's rank slot[i]
+    order = np.lexsort((counter_keys(seed, SAMPLE, row, slot), row))
+    keep = slot < n_f
+    pick = np.full((ds.num_nodes, n_f), -1, dtype=np.int64)
+    pick[row[keep], slot[keep]] = order[keep]
+    fill_row, fill_slot = np.nonzero(pick < 0)
+    fill_key = counter_keys(seed, SAMPLE, fill_row, fill_slot)
+    pick[fill_row, fill_slot] = starts[fill_row] + (
+        fill_key % sizes[fill_row].astype(np.uint64)
+    ).astype(np.int64)
+    np.take(flat_ids, pick, out=ids)
+    np.take(flat_w, pick, out=weights)
     return FeatureSample(ids=ids, weights=weights, n_f=n_f, seed=seed)
 
 

@@ -46,6 +46,13 @@ class TrainConfig:
     deep_projection: bool = False
 
     def __post_init__(self):
+        for name in ("learning_rate", "eta", "dropout", "alpha", "rho"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("n_f", "d_emb", "d_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate < 0 or self.eta < 0:
             raise ValueError("learning_rate and eta must be >= 0")
         if self.max_epochs < 1 or self.patience < 1:
@@ -263,7 +270,9 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
             raise TrainingDiverged(epoch, records)
         adam_step(params, grads, state, config.learning_rate)
 
-        output = model_forward(params, epoch_sample, norm_adj, mcfg, mode="eval")
+        # validation scores the fixed base sample, the one held_out_metrics and
+        # `catgcn eval` score, so the selected epoch's metric is the reported one
+        output = model_forward(params, sample, norm_adj, mcfg, mode="eval")
         val_acc, val_f1 = evaluate(output, labels, split.val_ids)
         records.append(
             EpochRecord(

@@ -172,6 +172,33 @@ def test_malformed_dataset_is_data_error(tmp_path, capsys):
     assert "features.tsv:2" in err
 
 
+@pytest.mark.parametrize("cut", ["header", "payload"])
+def test_truncated_checkpoint_is_data_error(dataset_dir, tmp_path, capsys, cut):
+    out_dir = tmp_path / "run"
+    run(capsys, "train", *data_args(dataset_dir), "--max-epochs", "1", "--d-emb", "8",
+        "--d-hidden", "8", "--n-f", "6", "--quiet", "--out-dir", str(out_dir))
+    blob = (out_dir / "checkpoint.bin").read_bytes()
+    bad = tmp_path / "cut.bin"
+    bad.write_bytes(blob[:40] if cut == "header" else blob[:-100])
+    code, _, err = run(capsys, "eval", "--checkpoint", str(bad), *data_args(dataset_dir))
+    assert code == 3
+    assert f"{bad}: truncated checkpoint" in err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--learning-rate", "nan", "learning_rate"),
+    ("--dropout", "inf", "dropout"),
+    ("--d-emb", "0", "d_emb"),
+    ("--n-f", "0", "n_f"),
+])
+def test_bad_config_value_is_usage_error_before_loading(tmp_path, capsys, flag, value, field):
+    # the dataset paths do not exist: a config checked first exits 2, not 3
+    code, _, err = run(capsys, "train", "--edges", "/no/e", "--features", "/no/f",
+                       "--labels", "/no/l", flag, value, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert field in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exit_code(dataset_dir, tmp_path, capsys):
     code, _, err = run(

@@ -197,3 +197,29 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_faults_are_data_errors(tmp_path):
+    import json
+    import re
+    import struct
+    from dataclasses import asdict
+
+    from catgcn.data import DataError
+
+    _, cfg, _, _, params = setup(deep_projection=False)
+    path = str(tmp_path / "model.bin")
+    save_checkpoint(path, params, asdict(cfg), cfg.seed)
+    blob = open(path, "rb").read()
+    (hlen,) = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20 : 20 + hlen])
+    header["sections"][-1]["offset"] += 1  # last section now overruns the payload
+    moved = json.dumps(header).encode()
+    bad = {f"cut{n}": blob[:n] for n in (8, 19, 20, 21, 20 + hlen - 1, len(blob) - 8)}
+    bad["overrun"] = blob[:12] + struct.pack("<Q", len(moved)) + moved + blob[20 + hlen :]
+    bad["not json"] = blob[:20] + b"{" * hlen + blob[20 + hlen :]
+    for name, data in bad.items():
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(DataError, match=re.escape(path)):
+            load_checkpoint(path)

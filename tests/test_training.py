@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catgcn.autodiff import Tensor
 from catgcn.data import generate_synthetic
@@ -177,6 +179,50 @@ def test_train_returns_best_epoch_parameters():
     _, val_f1 = evaluate(out, ds.labels, result.split.val_ids)
     best_logged = max(r.val_macro_f1 for r in result.records)
     assert val_f1 == pytest.approx(best_logged, abs=1e-12)
+
+
+_SELECTION_DS = generate_synthetic("local-signal", 150, 40, 3, 6, 0.05, 0.05, seed=4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    resample=st.booleans(),
+    n_f=st.integers(2, 8),
+    dropout=st.sampled_from([0.0, 0.3]),
+    monitor=st.sampled_from(["macro_f1", "accuracy", "loss"]),
+    seed=st.integers(0, 2**31),
+)
+def test_selected_epoch_metric_is_the_reported_one(resample, n_f, dropout, monitor, seed):
+    # the epoch log's val macro-F1 at the best epoch must be what held_out_metrics
+    # (and `catgcn eval`) report for the returned parameters, resampling or not
+    cfg = TrainConfig(learning_rate=0.05, alpha=0.5, hops=1, d_emb=8, d_hidden=8, n_f=n_f,
+                      dropout=dropout, monitor=monitor, resample_per_epoch=resample,
+                      max_epochs=8, patience=8, seed=seed)
+    result = train(cfg, _SELECTION_DS)
+    reported = held_out_metrics(result, _SELECTION_DS)
+    assert result.records[result.best_epoch - 1].val_macro_f1 == reported["val_macro_f1"]
+    assert result.records[result.best_epoch - 1].val_accuracy == reported["val_accuracy"]
+
+
+def test_selection_with_resampling_local_signal_repro():
+    # validation used to score each epoch's resample: here the selected epoch
+    # logged val macro-F1 0.393 while the base sample's reported 0.315
+    ds = generate_synthetic("local-signal", 1500, 40, 4, 10, 0.005, 0.005, seed=0)
+    cfg = TrainConfig(learning_rate=0.05, alpha=0.0, hops=0, n_f=4, d_emb=16, d_hidden=16,
+                      resample_per_epoch=True, max_epochs=30, patience=10, seed=3)
+    result = train(cfg, ds)
+    reported = held_out_metrics(result, ds)["val_macro_f1"]
+    assert result.records[result.best_epoch - 1].val_macro_f1 == reported
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", float("nan")), ("eta", float("inf")), ("dropout", float("nan")),
+    ("alpha", float("-inf")), ("rho", float("nan")),
+    ("n_f", 0), ("d_emb", 0), ("d_hidden", -1),
+])
+def test_config_rejects_non_finite_and_empty_dimensions(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
 
 
 def test_train_is_deterministic():

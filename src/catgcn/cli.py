@@ -204,10 +204,33 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _checkpoint_config(path: str, config_dict: dict) -> TrainConfig:
+    """The checkpoint's run config, or DataError naming `path` if it is not one."""
+    try:
+        config = TrainConfig(**config_dict)
+        config.to_model_config()
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad checkpoint config: {exc}") from None
+    return config
+
+
+def _check_fits(path: str, params, dataset) -> None:
+    """DataError naming `path` unless the checkpoint covers the dataset's ids."""
+    rows = params.embedding.data.shape[0]
+    classes = params.b_l.data.shape[0]
+    if dataset.num_features > rows:
+        raise DataError(f"{path}: checkpoint embeds {rows} features but the dataset has "
+                        f"{dataset.num_features}")
+    if dataset.num_classes > classes:
+        raise DataError(f"{path}: checkpoint predicts {classes} classes but the dataset has "
+                        f"{dataset.num_classes}")
+
+
 def cmd_eval(args) -> int:
     params, config_dict, _ = load_checkpoint(args.checkpoint)
-    config = TrainConfig(**config_dict)
+    config = _checkpoint_config(args.checkpoint, config_dict)
     dataset = load_dataset(args.edges, args.features, args.labels)
+    _check_fits(args.checkpoint, params, dataset)
     adj = build_adjacency(dataset.edges, dataset.num_nodes)
     norm_adj, _ = normalize_sym(adj)
     split = make_split(dataset, config.seed)

@@ -62,8 +62,19 @@ def _read_lines(path: str) -> tuple[list, list]:
 
     `readlines` splits where iterating the file does: at LF, CRLF and a lone CR.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        raw = list(map(str.rstrip, fh.readlines(), itertools.repeat("\n")))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            raw = list(map(str.rstrip, fh.readlines(), itertools.repeat("\n")))
+    except UnicodeDecodeError:
+        # the text reader's offset is relative to its buffer; decode whole for the file's
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        try:
+            blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: byte {exc.start} "
+                            f"({blob[exc.start]:#04x}): {exc.reason}") from None
+        raise
     linenos = [i for i, line in enumerate(raw, start=1) if line and line[0] != "#"]
     return linenos, raw if len(linenos) == len(raw) else [raw[i - 1] for i in linenos]
 

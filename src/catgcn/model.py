@@ -2,7 +2,9 @@
 
 Two forward paths share the same numpy formulas: a pure-numpy evaluation path
 and a taped path for training. With dropout disabled they produce bit-identical
-outputs; a test pins that.
+outputs; a test pins that. Training relies on it: without dropout or per-epoch
+resampling it scores validation from the logits of the next step's taped
+forward instead of running the evaluation path after every update.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class ModelParams:
 
 @dataclass
 class ModelOutput:
-    h: np.ndarray  # (N, C) initial representations
+    h: np.ndarray | None  # (N, C) initial representations; None when built from taped logits
     y: np.ndarray  # (N, C) after hops of propagation
     probs: np.ndarray  # (N, C) row softmax of y
 
@@ -246,10 +248,14 @@ def predict(output: ModelOutput) -> np.ndarray:
 
 def training_step(params, sample, norm_adj, config, labels, train_ids, eta,
                   dropout_seed: int = 0, epoch: int = 0):
-    """One taped forward/backward; returns (loss value, gradient dict)."""
+    """One taped forward/backward; returns (loss value, gradient dict, logits).
+
+    The logits are the taped forward's propagated output (N, C); with dropout
+    off they equal `model_forward(..., mode="eval").y` bit for bit.
+    """
     tape = Tape()
     y = taped_forward(tape, params, sample, norm_adj, config,
                       dropout_seed=dropout_seed, epoch=epoch, train=True)
     lt = taped_loss(tape, y, labels, train_ids, eta, params)
     grads = backward(tape, lt)
-    return lt.item(), grads
+    return lt.item(), grads, y.data

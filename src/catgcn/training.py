@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, masked_ce_mean
+from .autodiff import Tensor, masked_ce_mean, softmax_rows
 from .data import RawDataset, make_split, sample_features
 from .graph import build_adjacency, normalize_sym
 from .interaction import InteractionConfig
@@ -96,6 +96,7 @@ class TrainResult:
     split: object
     sample: object
     norm_adj: object
+    val_logits: np.ndarray | None = None  # propagated logits of the returned parameters
 
 
 class TrainingDiverged(RuntimeError):
@@ -230,6 +231,11 @@ class EarlyStopper:
         return epoch - self.best_epoch >= self.patience
 
 
+def _logit_output(logits: np.ndarray) -> ModelOutput:
+    """The eval output for propagated logits, probabilities computed as model_forward does."""
+    return ModelOutput(h=None, y=logits, probs=softmax_rows(logits))
+
+
 def _monitor_value(config, output, labels, val_ids, val_acc, val_f1) -> float:
     if config.monitor == "accuracy":
         return val_acc
@@ -242,6 +248,16 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
     """Full-batch training with early stopping on the validation monitor.
 
     Returns the parameters of the best validation epoch, never a later one.
+
+    Validation scores the fixed base sample with the eval forward, the one
+    `held_out_metrics` and `catgcn eval` score, so the selected epoch's metric
+    is the reported one. Without dropout and without `resample_per_epoch`,
+    step t+1's taped forward computes exactly that forward on the parameters
+    epoch t's update left, so epoch t is scored from its logits and the only
+    untaped `model_forward` runs after the last epoch. An early stop at epoch
+    t therefore runs step t+1 for its forward alone. With dropout or
+    resampling the taped forward differs from eval, and every epoch runs its
+    own `model_forward` after its update.
     """
     adj = build_adjacency(dataset.edges, dataset.num_nodes)
     norm_adj, _ = normalize_sym(adj)
@@ -251,28 +267,21 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
     state = init_adam(params)
     mcfg = config.to_model_config()
     labels = dataset.labels
+    reuse_taped = config.dropout == 0.0 and not config.resample_per_epoch
 
     stopper = EarlyStopper(config.patience)
     records: list[EpochRecord] = []
     best_params = params.copy()
-    for epoch in range(1, config.max_epochs + 1):
-        t0 = time.monotonic()
-        epoch_sample = sample
-        if config.resample_per_epoch and epoch > 1:
-            epoch_sample = sample_features(
-                dataset, config.n_f, derive_cell_seed(config.seed, epoch)
-            )
-        loss_value, grads = training_step(
-            params, epoch_sample, norm_adj, mcfg, labels, split.train_ids,
-            config.eta, dropout_seed=config.seed, epoch=epoch,
-        )
-        if not np.isfinite(loss_value):
-            raise TrainingDiverged(epoch, records)
-        adam_step(params, grads, state, config.learning_rate)
+    best_logits = None
 
-        # validation scores the fixed base sample, the one held_out_metrics and
-        # `catgcn eval` score, so the selected epoch's metric is the reported one
-        output = model_forward(params, sample, norm_adj, mcfg, mode="eval")
+    def close_epoch(epoch, loss_value, spent, scoring_start, logits) -> bool:
+        """Record `epoch` scored from the logits of its updated parameters; True stops.
+
+        `spent` is the epoch's step and update time; scoring counts from
+        `scoring_start`, so the record never includes another epoch's step.
+        """
+        nonlocal best_params, best_logits
+        output = _logit_output(logits)
         val_acc, val_f1 = evaluate(output, labels, split.val_ids)
         records.append(
             EpochRecord(
@@ -280,16 +289,47 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
                 train_loss=loss_value,
                 val_accuracy=val_acc,
                 val_macro_f1=val_f1,
-                wall_time_s=time.monotonic() - t0,
+                wall_time_s=spent + time.monotonic() - scoring_start,
             )
         )
         if progress is not None:
             progress(records[-1])
         if stopper.update(_monitor_value(config, output, labels, split.val_ids, val_acc, val_f1),
                           epoch):
-            best_params = params.copy()
-        if stopper.should_stop(epoch):
+            best_params, best_logits = params.copy(), logits
+        return stopper.should_stop(epoch)
+
+    pending = None  # (epoch, train loss, step and update seconds) awaiting validation
+    for epoch in range(1, config.max_epochs + 1):
+        t0 = time.monotonic()
+        epoch_sample = sample
+        if config.resample_per_epoch and epoch > 1:
+            epoch_sample = sample_features(
+                dataset, config.n_f, derive_cell_seed(config.seed, epoch)
+            )
+        loss_value, grads, logits = training_step(
+            params, epoch_sample, norm_adj, mcfg, labels, split.train_ids,
+            config.eta, dropout_seed=config.seed, epoch=epoch,
+        )
+        # close the previous epoch first: if it stops training, this step ran
+        # only for its forward, and its loss must not count as a divergence
+        if pending is not None and close_epoch(*pending, time.monotonic(), logits):
             break
+        if not np.isfinite(loss_value):
+            raise TrainingDiverged(epoch, records)
+        adam_step(params, grads, state, config.learning_rate)
+        pending = (epoch, loss_value, time.monotonic() - t0)
+        if not reuse_taped:
+            scoring_start = time.monotonic()
+            logits = model_forward(params, sample, norm_adj, mcfg, mode="eval").y
+            if close_epoch(*pending, scoring_start, logits):
+                break
+            pending = None
+    else:
+        if pending is not None:  # the last update has no next step to score it
+            scoring_start = time.monotonic()
+            logits = model_forward(params, sample, norm_adj, mcfg, mode="eval").y
+            close_epoch(*pending, scoring_start, logits)
 
     return TrainResult(
         params=best_params,
@@ -300,13 +340,23 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
         split=split,
         sample=sample,
         norm_adj=norm_adj,
+        val_logits=best_logits,
     )
 
 
 def held_out_metrics(result: TrainResult, dataset: RawDataset) -> dict:
-    """Accuracy and macro-F1 of the returned parameters on the held-out test split."""
-    mcfg = result.config.to_model_config()
-    output = model_forward(result.params, result.sample, result.norm_adj, mcfg, mode="eval")
+    """Accuracy and macro-F1 of the returned parameters on the held-out test split.
+
+    Scores the selected epoch's validation logits that `train` kept; a result
+    without them (built by hand, or a run whose monitor was never finite) runs
+    one eval forward here.
+    """
+    logits = result.val_logits
+    if logits is None:
+        mcfg = result.config.to_model_config()
+        logits = model_forward(result.params, result.sample, result.norm_adj, mcfg,
+                               mode="eval").y
+    output = _logit_output(logits)
     acc, f1 = evaluate(output, dataset.labels, result.split.test_ids)
     val_acc, val_f1 = evaluate(output, dataset.labels, result.split.val_ids)
     return {

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -183,6 +184,78 @@ def test_truncated_checkpoint_is_data_error(dataset_dir, tmp_path, capsys, cut):
     code, _, err = run(capsys, "eval", "--checkpoint", str(bad), *data_args(dataset_dir))
     assert code == 3
     assert f"{bad}: truncated checkpoint" in err
+
+
+@pytest.mark.parametrize("where", ["start", "past the read buffer"])
+def test_non_utf8_dataset_is_data_error(dataset_dir, tmp_path, capsys, where):
+    edges = tmp_path / "edges.tsv"
+    good = (dataset_dir / "edges.tsv").read_bytes()
+    if where == "start":
+        blob, offset = b"\xff\xfe" + good, 0
+    else:  # the offset counts from the start of the file, not of a decoded chunk
+        good += b"# padding\n" * 3000
+        blob, offset = good + b"\xff\xfe", len(good)
+    edges.write_bytes(blob)
+    code, _, err = run(
+        capsys, "train", "--edges", str(edges),
+        "--features", str(dataset_dir / "features.tsv"),
+        "--labels", str(dataset_dir / "labels.tsv"), "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 3
+    assert f"{edges}: not UTF-8 text: byte {offset} (0xff)" in err
+
+
+def rewrite_checkpoint_config(src, dst, **changes):
+    """Copy a checkpoint with its header's config updated by `changes`."""
+    blob = src.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20:20 + hlen])
+    header["config"].update(changes)
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(blob[:12] + struct.pack("<Q", len(raw)) + raw + blob[20 + hlen:])
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(dataset_dir, tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("ckpt")
+    code = main(["train", *data_args(dataset_dir), "--max-epochs", "1", "--d-emb", "8",
+                 "--d-hidden", "8", "--n-f", "6", "--quiet", "--out-dir", str(out_dir)])
+    assert code == 0
+    return out_dir / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("changes, reason", [
+    ({"bogus": 1}, "unexpected keyword argument 'bogus'"),
+    ({"monitor": "f2"}, "unknown monitor 'f2'"),
+    ({"alpha": 2.0}, "alpha must lie in [0, 1]"),
+    ({"hops": -1}, "hops must be >= 0"),
+])
+def test_checkpoint_with_bad_config_is_data_error(small_checkpoint, dataset_dir, tmp_path,
+                                                  capsys, changes, reason):
+    bad = tmp_path / "bad.bin"
+    rewrite_checkpoint_config(small_checkpoint, bad, **changes)
+    code, _, err = run(capsys, "eval", "--checkpoint", str(bad), *data_args(dataset_dir))
+    assert code == 3
+    assert f"{bad}: bad checkpoint config" in err
+    assert reason in err
+
+
+@pytest.mark.parametrize("feats, classes, message", [
+    (80, 3, "checkpoint embeds 40 features but the dataset has 80"),
+    (40, 5, "checkpoint predicts 3 classes but the dataset has 5"),
+])
+def test_checkpoint_that_does_not_fit_the_dataset_is_data_error(
+        small_checkpoint, tmp_path, capsys, feats, classes, message):
+    wider = tmp_path / "wider"
+    code = main(["synth", "--kind", "local-signal", "--nodes", "200", "--feats", str(feats),
+                 "--classes", str(classes), "--n-f", "6", "--seed", "2",
+                 "--out-dir", str(wider)])
+    assert code == 0
+    capsys.readouterr()
+    code, _, err = run(capsys, "eval", "--checkpoint", str(small_checkpoint),
+                       *data_args(wider))
+    assert code == 3
+    assert f"{small_checkpoint}: {message}" in err
 
 
 @pytest.mark.parametrize("flag, value, field", [

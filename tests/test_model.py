@@ -105,10 +105,10 @@ def test_loss_reporting_matches_taped():
 def test_regularizer_covers_every_trainable_tensor():
     ds, cfg, norm, sample, params = setup(alpha=0.5)
     split = make_split(ds, 0)
-    _, grads_without = training_step(
+    _, grads_without, _ = training_step(
         params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, eta=0.0
     )
-    _, grads_with = training_step(
+    _, grads_with, _ = training_step(
         params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, eta=0.1
     )
     for name, t in params.named_tensors().items():
@@ -126,7 +126,7 @@ def test_predict_tie_breaks_to_lowest_class():
 def test_alpha_zero_ignores_global_parameters():
     ds, cfg, norm, sample, params = setup(alpha=0.0)
     split = make_split(ds, 0)
-    _, grads = training_step(
+    _, grads, _ = training_step(
         params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, eta=0.0
     )
     assert params.w_conv not in grads
@@ -140,7 +140,7 @@ def test_alpha_zero_ignores_global_parameters():
 def test_alpha_one_ignores_local_parameters():
     ds, cfg, norm, sample, params = setup(alpha=1.0)
     split = make_split(ds, 0)
-    _, grads = training_step(
+    _, grads, _ = training_step(
         params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, eta=0.0
     )
     assert params.w_l not in grads and params.b_l not in grads

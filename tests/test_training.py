@@ -11,6 +11,7 @@ from catgcn.rng import derive_cell_seed
 from catgcn.training import (
     AdamState,
     EarlyStopper,
+    EpochRecord,
     TrainConfig,
     TrainingDiverged,
     accuracy_macro_f1,
@@ -301,3 +302,212 @@ def test_config_validation():
         TrainConfig(monitor="f2")
     with pytest.raises(ValueError):
         TrainConfig(patience=0)
+
+
+# --- the loop against its reference -----------------------------------------
+
+
+def reference_train(config: TrainConfig, dataset):
+    """The loop as first written: one eval forward after every Adam step."""
+    from catgcn.data import make_split, sample_features
+    from catgcn.graph import build_adjacency, normalize_sym
+    from catgcn.model import model_forward, training_step
+    from catgcn.training import EarlyStopper, _monitor_value, evaluate
+
+    norm_adj, _ = normalize_sym(build_adjacency(dataset.edges, dataset.num_nodes))
+    split = make_split(dataset, config.seed)
+    sample = sample_features(dataset, config.n_f, config.seed)
+    params = xavier_init(dataset.num_features, dataset.num_classes, config)
+    state = init_adam(params)
+    mcfg = config.to_model_config()
+    labels = dataset.labels
+    stopper = EarlyStopper(config.patience)
+    records = []
+    best_params = params.copy()
+    for epoch in range(1, config.max_epochs + 1):
+        epoch_sample = sample
+        if config.resample_per_epoch and epoch > 1:
+            epoch_sample = sample_features(dataset, config.n_f,
+                                           derive_cell_seed(config.seed, epoch))
+        loss_value, grads, _ = training_step(
+            params, epoch_sample, norm_adj, mcfg, labels, split.train_ids,
+            config.eta, dropout_seed=config.seed, epoch=epoch,
+        )
+        if not np.isfinite(loss_value):
+            raise TrainingDiverged(epoch, records)
+        adam_step(params, grads, state, config.learning_rate)
+        output = model_forward(params, sample, norm_adj, mcfg, mode="eval")
+        val_acc, val_f1 = evaluate(output, labels, split.val_ids)
+        records.append(EpochRecord(epoch, loss_value, val_acc, val_f1, wall_time_s=0.0))
+        if stopper.update(_monitor_value(config, output, labels, split.val_ids, val_acc, val_f1),
+                          epoch):
+            best_params = params.copy()
+        if stopper.should_stop(epoch):
+            break
+    output = model_forward(best_params, sample, norm_adj, mcfg, mode="eval")
+    acc, f1 = evaluate(output, labels, split.test_ids)
+    val_acc, val_f1 = evaluate(output, labels, split.val_ids)
+    held_out = {"test_accuracy": acc, "test_macro_f1": f1, "val_accuracy": val_acc,
+                "val_macro_f1": val_f1, "best_epoch": stopper.best_epoch,
+                "epochs_run": len(records)}
+    return records, stopper, best_params, held_out
+
+
+def record_tuples(records):
+    return [(r.epoch, r.train_loss, r.val_accuracy, r.val_macro_f1) for r in records]
+
+
+_LOOP_DS = generate_synthetic("homophily", 90, 30, 3, 5, 0.12, 0.02, seed=6)
+_LOOP_BASE = dict(learning_rate=0.05, d_emb=8, d_hidden=8, n_f=5, hops=1,
+                  max_epochs=10, patience=10, seed=4)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(alpha=0.0),
+    dict(alpha=0.5),
+    dict(alpha=1.0),
+    dict(variant="meanpool"),
+    dict(deep_projection=True, final_activation="relu"),
+    dict(monitor="accuracy"),
+    dict(monitor="loss", eta=0.01),
+    dict(eta=0.001, hops=0),
+    dict(learning_rate=0.2, patience=2, max_epochs=40),
+    dict(monitor="loss", learning_rate=0.2, patience=2, max_epochs=40),
+    dict(dropout=0.3),
+    dict(dropout=0.3, dropout_site="both", patience=2, max_epochs=40),
+    dict(resample_per_epoch=True),
+    dict(resample_per_epoch=True, learning_rate=0.2, patience=2, max_epochs=40),
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_train_matches_the_per_epoch_forward_loop(overrides):
+    # scoring epoch t from step t+1's taped logits must leave every output
+    # bit-identical to running an eval forward after each update
+    cfg = TrainConfig(**{**_LOOP_BASE, **overrides})
+    ref_records, ref_stopper, ref_params, ref_held_out = reference_train(cfg, _LOOP_DS)
+    result = train(cfg, _LOOP_DS)
+    assert record_tuples(result.records) == record_tuples(ref_records)
+    assert result.best_epoch == ref_stopper.best_epoch
+    assert result.best_val_metric == ref_stopper.best
+    for name, t in result.params.named_tensors().items():
+        assert np.array_equal(t.data, ref_params.named_tensors()[name].data), name
+    assert held_out_metrics(result, _LOOP_DS) == ref_held_out
+    if overrides.get("patience") == 2:
+        assert len(result.records) < cfg.max_epochs  # the early stop is exercised
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("overrides", [
+    dict(learning_rate=1e200),
+    dict(learning_rate=1e102, deep_projection=True),
+    dict(learning_rate=1e105, dropout=0.3),
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_divergence_matches_the_per_epoch_forward_loop(overrides):
+    cfg = TrainConfig(**{**_LOOP_BASE, "max_epochs": 30, **overrides})
+    with pytest.raises(TrainingDiverged) as ref:
+        reference_train(cfg, _LOOP_DS)
+    with pytest.raises(TrainingDiverged) as got:
+        train(cfg, _LOOP_DS)
+    assert got.value.epoch == ref.value.epoch
+    assert record_tuples(got.value.records) == record_tuples(ref.value.records)
+    assert str(got.value) == str(ref.value)
+
+
+def nan_loss_at(monkeypatch, bad_epoch):
+    """Make the training module's step report a non-finite loss at `bad_epoch`."""
+    import catgcn.training as training
+
+    step = training.training_step
+
+    def step_with_nan(*args, **kwargs):
+        loss_value, grads, logits = step(*args, **kwargs)
+        return (np.nan if kwargs["epoch"] == bad_epoch else loss_value), grads, logits
+
+    monkeypatch.setattr(training, "training_step", step_with_nan)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_late_divergence_keeps_the_earlier_records(monkeypatch, dropout):
+    cfg = TrainConfig(**{**_LOOP_BASE, "dropout": dropout})
+    ref_records = reference_train(cfg, _LOOP_DS)[0]
+    nan_loss_at(monkeypatch, 5)
+    with pytest.raises(TrainingDiverged) as got:
+        train(cfg, _LOOP_DS)
+    assert got.value.epoch == 5
+    assert record_tuples(got.value.records) == record_tuples(ref_records[:4])
+
+
+@pytest.mark.parametrize("monitor", ["macro_f1", "loss"])
+def test_early_stop_wins_over_a_non_finite_next_step(monkeypatch, monitor):
+    # the per-epoch loop stopped at epoch t and never ran step t+1, so a
+    # non-finite loss there must not turn the stop into a divergence
+    cfg = TrainConfig(**{**_LOOP_BASE, "monitor": monitor, "learning_rate": 0.2,
+                         "patience": 2, "max_epochs": 40})
+    ref_records, ref_stopper, ref_params, ref_held_out = reference_train(cfg, _LOOP_DS)
+    assert len(ref_records) < cfg.max_epochs
+    nan_loss_at(monkeypatch, len(ref_records) + 1)
+    result = train(cfg, _LOOP_DS)
+    assert record_tuples(result.records) == record_tuples(ref_records)
+    assert result.best_epoch == ref_stopper.best_epoch
+    assert held_out_metrics(result, _LOOP_DS) == ref_held_out
+
+
+@pytest.mark.parametrize("dropout, patience, forwards", [
+    (0.0, 6, 1),  # the only untaped forward scores the last epoch
+    (0.3, 6, 6),  # dropout: each epoch runs its own validation forward
+    (0.0, 1, 0),  # early stop: step t+1 scored epoch t, no untaped forward
+])
+def test_train_hooks_the_benchmark_reads(monkeypatch, dropout, patience, forwards):
+    # the benchmark stamps an epoch at every call of the training module's
+    # training_step and at every progress call, and counts model_forward calls
+    import catgcn.training as training
+
+    calls = {"training_step": 0, "model_forward": 0}
+
+    def counting(name):
+        original = getattr(training, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(training, "training_step", counting("training_step"))
+    monkeypatch.setattr(training, "model_forward", counting("model_forward"))
+    seen = []
+    cfg = TrainConfig(**{**_LOOP_BASE, "dropout": dropout, "max_epochs": 6,
+                         "patience": patience, "learning_rate": 0.2})
+    result = train(cfg, _LOOP_DS, progress=seen.append)
+    held_out_metrics(result, _LOOP_DS)
+    epochs = len(result.records)
+    assert [r.epoch for r in seen] == list(range(1, epochs + 1))
+    assert seen == result.records
+    stopped_early = epochs < cfg.max_epochs
+    assert stopped_early == (patience == 1)
+    # an early stop at epoch t runs step t+1 for its forward alone
+    assert calls["training_step"] == epochs + (stopped_early and dropout == 0.0)
+    assert calls["model_forward"] == forwards
+
+
+def test_epoch_wall_time_counts_one_epoch(monkeypatch):
+    # epoch t is recorded after step t+1; its wall time must still hold only
+    # its own step, update and scoring (the last epoch's scoring is a forward)
+    import catgcn.training as training
+
+    clock = [0.0]
+    monkeypatch.setattr(training.time, "monotonic", lambda: clock[0])
+
+    def ticking(fn, seconds):
+        def wrapper(*args, **kwargs):
+            clock[0] += seconds(kwargs)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # step t takes t seconds of the fake clock, a forward a quarter second
+    monkeypatch.setattr(training, "training_step",
+                        ticking(training.training_step, lambda kw: float(kw["epoch"])))
+    monkeypatch.setattr(training, "model_forward",
+                        ticking(training.model_forward, lambda kw: 0.25))
+    cfg = TrainConfig(**{**_LOOP_BASE, "max_epochs": 4, "patience": 4})
+    result = train(cfg, _LOOP_DS)
+    assert [r.wall_time_s for r in result.records] == [1.0, 2.0, 3.0, 4.25]

@@ -22,15 +22,12 @@ from .data import (
 from .graph import CsrMatrix, DegreeVector, build_adjacency, normalize_sym, propagate, spmm
 from .interaction import (
     InteractionConfig,
-    InteractionParams,
     artificial_propagate,
-    embed,
     forward_all_nodes,
-    fuse,
     global_interaction,
     local_biinteraction,
 )
-from .model import ModelConfig, ModelOutput, ModelParams, loss, model_forward, predict
+from .model import ModelConfig, ModelOutput, ModelParams, model_forward, predict
 from .oracle import (
     SpectralReport,
     TheoremCertificate,

@@ -111,10 +111,12 @@ class Tape:
         return self._emit(x.data * x.data, (x,), lambda g: (2.0 * x.data * g,))
 
     def relu(self, x: Tensor) -> Tensor:
-        """max(x, 0); the subgradient at exactly 0 is taken as 0."""
-        out = np.maximum(x.data, 0.0)
-        pos = x.data > 0.0
-        return self._emit(out, (x,), lambda g: (g * pos,))
+        """max(x, 0); the subgradient at exactly 0 is taken as 0.
+
+        The sign mask is built in the backward rule, so a forward that
+        records nothing never computes it.
+        """
+        return self._emit(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0.0),))
 
     def mean_rows(self, x: Tensor) -> Tensor:
         """Mean over axis -2 (the feature-row axis)."""

@@ -141,13 +141,36 @@ def _progress(record) -> None:
     )
 
 
+def _stored_config(path: str, kind: str, config_dict) -> TrainConfig:
+    """The run config a checkpoint or manifest stores, or DataError naming `path`."""
+    try:
+        config = TrainConfig(**config_dict)
+        config.to_model_config()
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad {kind} config: {exc}") from None
+    return config
+
+
+def _read_manifest(path: str) -> tuple[TrainConfig, dict]:
+    """(run config, dataset entry) of a run manifest, or DataError naming `path`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: manifest is not JSON: {exc}") from None
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        raise DataError(f"{path}: manifest has no config")
+    paths = manifest.get("dataset")
+    if not (isinstance(paths, dict)
+            and all(isinstance(paths.get(k), str) for k in ("edges", "features", "labels"))):
+        raise DataError(f"{path}: manifest has no dataset with edges, features and labels paths")
+    return _stored_config(path, "manifest", manifest["config"]), paths
+
+
 def cmd_train(args) -> int:
     want_fingerprint = None
     if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        config = TrainConfig(**manifest["config"])
-        paths = manifest["dataset"]
+        config, paths = _read_manifest(args.replay)
         edges = args.edges or paths["edges"]
         features = args.features or paths["features"]
         labels = args.labels or paths["labels"]
@@ -204,16 +227,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_config(path: str, config_dict: dict) -> TrainConfig:
-    """The checkpoint's run config, or DataError naming `path` if it is not one."""
-    try:
-        config = TrainConfig(**config_dict)
-        config.to_model_config()
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad checkpoint config: {exc}") from None
-    return config
-
-
 def _check_fits(path: str, params, dataset) -> None:
     """DataError naming `path` unless the checkpoint covers the dataset's ids."""
     rows = params.embedding.data.shape[0]
@@ -228,14 +241,14 @@ def _check_fits(path: str, params, dataset) -> None:
 
 def cmd_eval(args) -> int:
     params, config_dict, _ = load_checkpoint(args.checkpoint)
-    config = _checkpoint_config(args.checkpoint, config_dict)
+    config = _stored_config(args.checkpoint, "checkpoint", config_dict)
     dataset = load_dataset(args.edges, args.features, args.labels)
     _check_fits(args.checkpoint, params, dataset)
     adj = build_adjacency(dataset.edges, dataset.num_nodes)
     norm_adj, _ = normalize_sym(adj)
     split = make_split(dataset, config.seed)
     sample = sample_features(dataset, config.n_f, config.seed)
-    output = model_forward(params, sample, norm_adj, config.to_model_config(), mode="eval")
+    output = model_forward(params, sample, norm_adj, config.to_model_config())
     test_acc, test_f1 = evaluate(output, dataset.labels, split.test_ids)
     val_acc, val_f1 = evaluate(output, dataset.labels, split.val_ids)
     _emit(

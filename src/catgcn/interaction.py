@@ -3,16 +3,25 @@
 Two routes over a node's embedded feature rows E (n_f x d_emb): a local
 bilinear pooling of all feature pairs, and a global route that mixes every row
 with the set mean through a probe-weighted operator before a shared projection.
-Late fusion combines the two per-route projections. All functions are pure
-numpy, broadcast over leading batch axes, and treat axis -2 as the feature-row
-axis.
+Late fusion combines the two per-route projections.
+
+`forward_all_nodes` is the one definition of these representations. It records
+the whole composition on a tape with the primitives of `autodiff`; training
+passes parameters that require gradients, evaluation passes constants, and the
+tape then records nothing. The kernel formulas below are pure numpy, broadcast
+over leading batch axes and treat axis -2 as the feature-row axis; the tape
+primitives and the oracles call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # autodiff imports the kernel formulas from this module
+    from .autodiff import Tape, Tensor
 
 
 @dataclass(frozen=True)
@@ -40,26 +49,6 @@ class InteractionConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
-@dataclass
-class InteractionParams:
-    """Projection parameters; hidden pairs are present only with deep_projection."""
-
-    w_conv: np.ndarray  # (d_emb, d_hidden) shared projection inside the global route
-    w_g: np.ndarray  # (d_hidden, C)
-    b_g: np.ndarray  # (C,)
-    w_l: np.ndarray  # (d_emb, C)
-    b_l: np.ndarray  # (C,)
-    w_g_hidden: np.ndarray | None = None  # (d_hidden, d_hidden)
-    b_g_hidden: np.ndarray | None = None
-    w_l_hidden: np.ndarray | None = None  # (d_emb, d_hidden)
-    b_l_hidden: np.ndarray | None = None
-
-
-def embed(table: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Gather embedding rows for sampled feature ids and scale each by its weight."""
-    return table[ids] * weights[..., None]
-
-
 def local_biinteraction(e: np.ndarray) -> np.ndarray:
     """Sum of elementwise products over all distinct row pairs, in linear time.
 
@@ -85,47 +74,56 @@ def global_interaction(e: np.ndarray, w_conv: np.ndarray, rho: float) -> np.ndar
     return np.maximum(z, 0.0).mean(axis=-2)
 
 
-def _activate(x: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(x, 0.0) if kind == "relu" else x
-
-
-def _project(h, w, b, w_hidden, b_hidden, activation):
+def _taped_project(tape: Tape, h, w, b, w_hidden, b_hidden, activation: str):
     if w_hidden is not None:
-        h = np.maximum(h @ w_hidden + b_hidden, 0.0)
-    return _activate(h @ w + b, activation)
+        h = tape.relu(tape.add_bias(tape.matmul(h, w_hidden), b_hidden))
+    out = tape.add_bias(tape.matmul(h, w), b)
+    return tape.relu(out) if activation == "relu" else out
 
 
-def fuse(
-    h_l: np.ndarray, h_g: np.ndarray | None, params: InteractionParams, config: InteractionConfig
-) -> np.ndarray:
-    """Late fusion: alpha * proj_g(h_g) + (1 - alpha) * proj_l(h_l).
+def forward_all_nodes(table: Tensor, params, config: InteractionConfig, sample, tape: Tape,
+                      dropout) -> Tensor:
+    """Record the initial representations H (N x C) of every node on `tape`.
 
-    At the endpoints the dead route is skipped entirely, so alpha=0 equals the
-    local projection exactly and alpha=1 the global one.
+    `table` is the embedding table; `params` holds the projection tensors
+    (w_conv, w_g, b_g, w_l, b_l and, with deep_projection, the hidden pairs).
+    The table and the sample stay the first and fourth arguments because the
+    traced benchmark (`perfbench/child.py`) reads them there to count the
+    gathered values.
+    `dropout(site, shape)` returns the constant mask tensor for site 0 (the
+    embedded rows), 1 (the local projection input) or 2 (the global
+    projection input), or None where that site keeps everything; a `dropout`
+    of None drops nothing.
+
+    Late fusion is alpha * proj_g(h_g) + (1 - alpha) * proj_l(h_l). At the
+    endpoints the dead route is skipped entirely, so alpha=0 equals the local
+    projection exactly and alpha=1 the global one. The global route is
+    recorded before the local one, which fixes the order in which backward
+    accumulates the embedding gradient.
     """
-    a = config.alpha
-    if a > 0.0:
-        hg = _project(h_g, params.w_g, params.b_g, params.w_g_hidden, params.b_g_hidden,
-                      config.final_activation)
-        if a == 1.0:
-            return hg
-    hl = _project(h_l, params.w_l, params.b_l, params.w_l_hidden, params.b_l_hidden,
-                  config.final_activation)
-    if a == 0.0:
-        return hl
-    return a * hg + (1.0 - a) * hl
 
+    def drop(x, site):
+        mask = dropout(site, x.shape) if dropout is not None else None
+        return x if mask is None else tape.elementwise_mul(x, mask)
 
-def forward_all_nodes(
-    table: np.ndarray, params: InteractionParams, config: InteractionConfig, sample
-) -> np.ndarray:
-    """Initial representations H (N x C) for every node from its feature sample."""
-    e = embed(table, sample.ids, sample.weights)
+    act = config.final_activation
+    e = drop(tape.scale_rows(tape.gather_rows(table, sample.ids), sample.weights), 0)
     if config.variant == "meanpool":
-        return _project(
-            e.mean(axis=-2), params.w_l, params.b_l, params.w_l_hidden, params.b_l_hidden,
-            config.final_activation,
-        )
-    h_l = local_biinteraction(e)
-    h_g = global_interaction(e, params.w_conv, config.rho) if config.alpha > 0.0 else None
-    return fuse(h_l, h_g, params, config)
+        h_l = drop(tape.mean_rows(e), 1)
+        return _taped_project(tape, h_l, params.w_l, params.b_l, params.w_l_hidden,
+                              params.b_l_hidden, act)
+    alpha = config.alpha
+    if alpha > 0.0:
+        # one expression, so that without a tape record the (N, n_f, d_hidden)
+        # relu output is freed before the local route runs
+        h_g = tape.mean_rows(tape.relu(tape.matmul(tape.artificial_prop(e, config.rho),
+                                                   params.w_conv)))
+        h_g = _taped_project(tape, drop(h_g, 2), params.w_g, params.b_g, params.w_g_hidden,
+                             params.b_g_hidden, act)
+        if alpha == 1.0:
+            return h_g
+    h_l = _taped_project(tape, drop(tape.biinteraction(e), 1), params.w_l, params.b_l,
+                         params.w_l_hidden, params.b_l_hidden, act)
+    if alpha == 0.0:
+        return h_l
+    return tape.add(tape.scale(h_g, alpha), tape.scale(h_l, 1.0 - alpha))

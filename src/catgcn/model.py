@@ -1,21 +1,23 @@
 """Full-batch model: interaction representations, L-hop propagation, softmax head.
 
-Two forward paths share the same numpy formulas: a pure-numpy evaluation path
-and a taped path for training. With dropout disabled they produce bit-identical
-outputs; a test pins that. Training relies on it: without dropout or per-epoch
-resampling it scores validation from the logits of the next step's taped
-forward instead of running the evaluation path after every update.
+There is one forward pass, `taped_forward`: dropout masks, the interaction
+forward that `interaction.forward_all_nodes` records, and propagation.
+Training records it on parameters that require gradients; `model_forward`
+runs it without dropout on the same parameters wrapped as constants, so the
+tape records nothing. With dropout off the two therefore compute the same
+numbers, and training scores validation from the logits of the next step's
+taped forward instead of running `model_forward` after every update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, masked_ce_mean, softmax_rows
-from .graph import CsrMatrix, propagate
-from .interaction import InteractionConfig, InteractionParams, forward_all_nodes
+from .autodiff import Tape, Tensor, backward, softmax_rows
+from .graph import CsrMatrix
+from .interaction import InteractionConfig, forward_all_nodes
 from .rng import DROPOUT, stream_rng
 
 
@@ -59,16 +61,6 @@ class ModelParams:
     def named_tensors(self) -> dict:
         return {n: t for n in self._ORDER if (t := getattr(self, n)) is not None}
 
-    def interaction_view(self) -> InteractionParams:
-        opt = {
-            n: (t.data if (t := getattr(self, n)) is not None else None)
-            for n in ("w_g_hidden", "b_g_hidden", "w_l_hidden", "b_l_hidden")
-        }
-        return InteractionParams(
-            w_conv=self.w_conv.data, w_g=self.w_g.data, b_g=self.b_g.data,
-            w_l=self.w_l.data, b_l=self.b_l.data, **opt,
-        )
-
     def copy(self) -> "ModelParams":
         kw = {n: Tensor(t.data.copy(), requires_grad=True) if t is not None else None
               for n in self._ORDER for t in (getattr(self, n),)}
@@ -77,7 +69,6 @@ class ModelParams:
 
 @dataclass
 class ModelOutput:
-    h: np.ndarray | None  # (N, C) initial representations; None when built from taped logits
     y: np.ndarray  # (N, C) after hops of propagation
     probs: np.ndarray  # (N, C) row softmax of y
 
@@ -93,77 +84,18 @@ def dropout_mask(shape, rate: float, seed: int, epoch: int, site_idx: int = 0) -
     return keep / (1.0 - rate)
 
 
-def model_forward(
-    params: ModelParams,
-    sample,
-    norm_adj: CsrMatrix,
-    config: ModelConfig,
-    mode: str = "eval",
-    dropout_seed: int = 0,
-    epoch: int = 0,
-) -> ModelOutput:
-    """Pure-numpy forward. Train mode applies dropout; eval never does."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
-    icfg = config.interaction
-    if mode == "train" and config.dropout > 0.0:
-        table = params.embedding.data
-        e = table[sample.ids] * sample.weights[..., None]
-        masks = _masks_for(e.shape, config, dropout_seed, epoch)
-        if masks["embedding"] is not None:
-            e = e * masks["embedding"]
-        h = _fused_h_numpy(e, params.interaction_view(), icfg, masks)
-    else:
-        h = forward_all_nodes(params.embedding.data, params.interaction_view(), icfg, sample)
-    y = propagate(norm_adj, h, config.hops)
-    return ModelOutput(h=h, y=y, probs=softmax_rows(y))
-
-
-def _masks_for(e_shape, config: ModelConfig, seed: int, epoch: int) -> dict:
-    site = config.dropout_site
-    masks = {"embedding": None, "proj": None}
+def _dropout_masks(config: ModelConfig, seed: int, epoch: int):
+    """The `dropout(site, shape)` callable of `forward_all_nodes`, or None without dropout."""
     if config.dropout <= 0.0:
-        return masks
-    if site in ("embedding", "both"):
-        masks["embedding"] = dropout_mask(e_shape, config.dropout, seed, epoch, site_idx=0)
-    if site in ("projections", "both"):
-        masks["proj"] = (config.dropout, seed, epoch)  # realized lazily per route
-    return masks
-
-
-def _proj_mask(masks, shape, which: int):
-    """Projection-input mask for the local (0) or global (1) route."""
-    if masks["proj"] is None:
         return None
-    rate, seed, epoch = masks["proj"]
-    return dropout_mask(shape, rate, seed, epoch, site_idx=1 + which)
+    sites = {"embedding": (0,), "projections": (1, 2), "both": (0, 1, 2)}[config.dropout_site]
 
+    def masks(site: int, shape) -> Tensor | None:
+        if site not in sites:
+            return None
+        return Tensor(dropout_mask(shape, config.dropout, seed, epoch, site_idx=site))
 
-def _fused_h_numpy(e, iparams, icfg, masks):
-    """Numpy mirror of the taped route composition, for dropout-enabled eval parity tests."""
-    from .interaction import fuse, global_interaction, local_biinteraction
-
-    if icfg.variant == "meanpool":
-        h_l = e.mean(axis=-2)
-        if masks["proj"] is not None:
-            h_l = h_l * _proj_mask(masks, h_l.shape, 0)
-        return fuse(h_l, None, iparams, replace(icfg, alpha=0.0))
-    h_l = local_biinteraction(e)
-    if masks["proj"] is not None:
-        h_l = h_l * _proj_mask(masks, h_l.shape, 0)
-    h_g = None
-    if icfg.alpha > 0.0:
-        h_g = global_interaction(e, iparams.w_conv, icfg.rho)
-        if masks["proj"] is not None:
-            h_g = h_g * _proj_mask(masks, h_g.shape, 1)
-    return fuse(h_l, h_g, iparams, icfg)
-
-
-def _taped_project(tape, h, w, b, w_hidden, b_hidden, activation):
-    if w_hidden is not None:
-        h = tape.relu(tape.add_bias(tape.matmul(h, w_hidden), b_hidden))
-    out = tape.add_bias(tape.matmul(h, w), b)
-    return tape.relu(out) if activation == "relu" else out
+    return masks
 
 
 def taped_forward(
@@ -176,45 +108,23 @@ def taped_forward(
     epoch: int = 0,
     train: bool = True,
 ):
-    """Record the forward pass on `tape`; returns the propagated logits tensor."""
-    icfg = config.interaction
-    e = tape.gather_rows(params.embedding, sample.ids)
-    e = tape.scale_rows(e, sample.weights)
-    masks = _masks_for(e.shape, config, dropout_seed, epoch) if train else {
-        "embedding": None, "proj": None,
-    }
-    if masks["embedding"] is not None:
-        e = tape.elementwise_mul(e, Tensor(masks["embedding"]))
+    """Record the forward pass on `tape`; returns the propagated logits tensor.
 
-    if icfg.variant == "meanpool":
-        h_l = tape.mean_rows(e)
-        if masks["proj"] is not None:
-            h_l = tape.elementwise_mul(h_l, Tensor(_proj_mask(masks, h_l.shape, 0)))
-        h = _taped_project(tape, h_l, params.w_l, params.b_l,
-                           params.w_l_hidden, params.b_l_hidden, icfg.final_activation)
-    else:
-        alpha = icfg.alpha
-        h_g_proj = None
-        if alpha > 0.0:
-            z = tape.relu(tape.matmul(tape.artificial_prop(e, icfg.rho), params.w_conv))
-            h_g = tape.mean_rows(z)
-            if masks["proj"] is not None:
-                h_g = tape.elementwise_mul(h_g, Tensor(_proj_mask(masks, h_g.shape, 1)))
-            h_g_proj = _taped_project(tape, h_g, params.w_g, params.b_g,
-                                      params.w_g_hidden, params.b_g_hidden, icfg.final_activation)
-        if alpha == 1.0:
-            h = h_g_proj
-        else:
-            h_l = tape.biinteraction(e)
-            if masks["proj"] is not None:
-                h_l = tape.elementwise_mul(h_l, Tensor(_proj_mask(masks, h_l.shape, 0)))
-            h_l_proj = _taped_project(tape, h_l, params.w_l, params.b_l,
-                                      params.w_l_hidden, params.b_l_hidden, icfg.final_activation)
-            if alpha == 0.0:
-                h = h_l_proj
-            else:
-                h = tape.add(tape.scale(h_g_proj, alpha), tape.scale(h_l_proj, 1.0 - alpha))
+    Dropout applies only with `train`, its masks drawn from (dropout_seed, epoch).
+    """
+    dropout = _dropout_masks(config, dropout_seed, epoch) if train else None
+    h = forward_all_nodes(params.embedding, params, config.interaction, sample, tape, dropout)
     return tape.sparse_propagate(norm_adj, h, config.hops)
+
+
+def model_forward(params: ModelParams, sample, norm_adj: CsrMatrix,
+                  config: ModelConfig) -> ModelOutput:
+    """Evaluation forward: `taped_forward` without dropout on the parameter
+    arrays wrapped as constant tensors, so the tape records nothing and keeps
+    no intermediate alive."""
+    constants = ModelParams(**{n: Tensor(t.data) for n, t in params.named_tensors().items()})
+    y = taped_forward(Tape(), constants, sample, norm_adj, config, train=False).data
+    return ModelOutput(y=y, probs=softmax_rows(y))
 
 
 def taped_loss(tape: Tape, y: Tensor, labels, mask, eta: float, params: ModelParams) -> Tensor:
@@ -230,17 +140,6 @@ def taped_loss(tape: Tape, y: Tensor, labels, mask, eta: float, params: ModelPar
     return loss
 
 
-def loss(output: ModelOutput, labels, mask, eta: float, params: ModelParams) -> float:
-    """Reporting-path loss on an eval output; matches the taped value."""
-    value = masked_ce_mean(output.y, np.asarray(labels, dtype=np.int64), mask)
-    if eta != 0.0:
-        reg = 0.0
-        for t in params.named_tensors().values():
-            reg = reg + (t.data * t.data).sum()
-        value = value + eta * reg
-    return float(value)
-
-
 def predict(output: ModelOutput) -> np.ndarray:
     """Row argmax of the probabilities; ties resolve to the smallest class index."""
     return output.probs.argmax(axis=1).astype(np.int64)
@@ -251,7 +150,7 @@ def training_step(params, sample, norm_adj, config, labels, train_ids, eta,
     """One taped forward/backward; returns (loss value, gradient dict, logits).
 
     The logits are the taped forward's propagated output (N, C); with dropout
-    off they equal `model_forward(..., mode="eval").y` bit for bit.
+    off they are `model_forward(...).y`, the same forward on the same parameters.
     """
     tape = Tape()
     y = taped_forward(tape, params, sample, norm_adj, config,

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import numbers
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -22,6 +23,10 @@ from .model import (
     training_step,
 )
 from .rng import XAVIER, derive_cell_seed, stream_rng
+
+
+# the values each annotated TrainConfig field type accepts; a bool only where annotated bool
+_FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "str": str}
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,10 @@ class TrainConfig:
     deep_projection: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _FIELD_TYPES[f.type]
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name in ("learning_rate", "eta", "dropout", "alpha", "rho"):
             value = getattr(self, name)
             if not np.isfinite(value):
@@ -233,7 +242,7 @@ class EarlyStopper:
 
 def _logit_output(logits: np.ndarray) -> ModelOutput:
     """The eval output for propagated logits, probabilities computed as model_forward does."""
-    return ModelOutput(h=None, y=logits, probs=softmax_rows(logits))
+    return ModelOutput(y=logits, probs=softmax_rows(logits))
 
 
 def _monitor_value(config, output, labels, val_ids, val_acc, val_f1) -> float:
@@ -251,13 +260,14 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
 
     Validation scores the fixed base sample with the eval forward, the one
     `held_out_metrics` and `catgcn eval` score, so the selected epoch's metric
-    is the reported one. Without dropout and without `resample_per_epoch`,
-    step t+1's taped forward computes exactly that forward on the parameters
-    epoch t's update left, so epoch t is scored from its logits and the only
-    untaped `model_forward` runs after the last epoch. An early stop at epoch
-    t therefore runs step t+1 for its forward alone. With dropout or
-    resampling the taped forward differs from eval, and every epoch runs its
-    own `model_forward` after its update.
+    is the reported one. The eval forward is the taped forward without
+    dropout, so without dropout and without `resample_per_epoch` step t+1's
+    taped forward is the eval forward on the parameters epoch t's update
+    left: epoch t is scored from its logits, and the only `model_forward`
+    runs after the last epoch. An early stop at epoch t therefore runs step
+    t+1 for its forward alone. With dropout or resampling the training step's
+    forward applies masks or another sample, and every epoch runs its own
+    `model_forward` after its update.
     """
     adj = build_adjacency(dataset.edges, dataset.num_nodes)
     norm_adj, _ = normalize_sym(adj)
@@ -321,14 +331,14 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
         pending = (epoch, loss_value, time.monotonic() - t0)
         if not reuse_taped:
             scoring_start = time.monotonic()
-            logits = model_forward(params, sample, norm_adj, mcfg, mode="eval").y
+            logits = model_forward(params, sample, norm_adj, mcfg).y
             if close_epoch(*pending, scoring_start, logits):
                 break
             pending = None
     else:
         if pending is not None:  # the last update has no next step to score it
             scoring_start = time.monotonic()
-            logits = model_forward(params, sample, norm_adj, mcfg, mode="eval").y
+            logits = model_forward(params, sample, norm_adj, mcfg).y
             close_epoch(*pending, scoring_start, logits)
 
     return TrainResult(
@@ -347,15 +357,15 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
 def held_out_metrics(result: TrainResult, dataset: RawDataset) -> dict:
     """Accuracy and macro-F1 of the returned parameters on the held-out test split.
 
-    Scores the selected epoch's validation logits that `train` kept; a result
-    without them (built by hand, or a run whose monitor was never finite) runs
-    one eval forward here.
+    Scores the selected epoch's validation logits that `train` kept, which
+    are `model_forward`'s logits for the returned parameters; a result without
+    them (built by hand, or a run whose monitor was never finite) runs that
+    forward here.
     """
     logits = result.val_logits
     if logits is None:
         mcfg = result.config.to_model_config()
-        logits = model_forward(result.params, result.sample, result.norm_adj, mcfg,
-                               mode="eval").y
+        logits = model_forward(result.params, result.sample, result.norm_adj, mcfg).y
     output = _logit_output(logits)
     acc, f1 = evaluate(output, dataset.labels, result.split.test_ids)
     val_acc, val_f1 = evaluate(output, dataset.labels, result.split.val_ids)

@@ -1,5 +1,6 @@
 """Command-line interface: commands, artifacts, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from catgcn.cli import main
+from catgcn.training import TrainConfig
 
 
 def run(capsys, *argv):
@@ -238,6 +240,50 @@ def test_checkpoint_with_bad_config_is_data_error(small_checkpoint, dataset_dir,
     assert code == 3
     assert f"{bad}: bad checkpoint config" in err
     assert reason in err
+
+
+_WRONG_TYPE = {"float": "fast", "int": 4.5, "bool": 1, "str": 3}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_checkpoint_config_of_wrong_type_is_data_error(small_checkpoint, dataset_dir, tmp_path,
+                                                       capsys, field):
+    kind = {f.name: f.type for f in dataclasses.fields(TrainConfig)}[field]
+    bad = tmp_path / "bad.bin"
+    rewrite_checkpoint_config(small_checkpoint, bad, **{field: _WRONG_TYPE[kind]})
+    code, _, err = run(capsys, "eval", "--checkpoint", str(bad), *data_args(dataset_dir))
+    assert code == 3
+    assert f"{bad}: bad checkpoint config: {field} must be of type {kind}" in err
+
+
+@pytest.fixture(scope="module")
+def small_manifest(small_checkpoint):
+    return json.loads((small_checkpoint.parent / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda m: b"{not json", "manifest is not JSON"),
+    (lambda m: b"\xff\xfe{}", "manifest is not JSON"),
+    (lambda m: [m], "manifest has no config"),
+    (lambda m: {k: v for k, v in m.items() if k != "config"}, "manifest has no config"),
+    (lambda m: {k: v for k, v in m.items() if k != "dataset"}, "manifest has no dataset"),
+    (lambda m: {**m, "dataset": {"edges": "e.tsv"}}, "manifest has no dataset"),
+    (lambda m: {**m, "config": 5}, "bad manifest config: "),
+    (lambda m: {**m, "config": {**m["config"], "bogus": 1}},
+     "bad manifest config: TrainConfig.__init__() got an unexpected keyword argument 'bogus'"),
+    (lambda m: {**m, "config": {**m["config"], "learning_rate": "fast"}},
+     "bad manifest config: learning_rate must be of type float"),
+    (lambda m: {**m, "config": {**m["config"], "rho": -1.0}},
+     "bad manifest config: rho must be >= 0"),
+])
+def test_replay_of_bad_manifest_is_data_error(small_manifest, tmp_path, capsys, edit, reason):
+    bad = edit(small_manifest)
+    path = tmp_path / "manifest.json"
+    path.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
+    code, _, err = run(capsys, "train", "--replay", str(path), "--quiet",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert f"{path}: {reason}" in err
 
 
 @pytest.mark.parametrize("feats, classes, message", [

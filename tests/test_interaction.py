@@ -1,14 +1,15 @@
-"""Bilinear feature interaction and the probe-weighted global route."""
+"""Bilinear feature interaction, the probe-weighted global route, and the taped composition."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from catgcn.autodiff import Tape, Tensor
 from catgcn.interaction import (
     InteractionConfig,
-    InteractionParams,
     artificial_propagate,
-    embed,
-    fuse,
+    forward_all_nodes,
     global_interaction,
     local_biinteraction,
 )
@@ -16,22 +17,43 @@ from catgcn.oracle import biinteraction_pairwise, probe_matrix
 
 
 def make_params(rng, d_emb, d_hidden, c):
-    return InteractionParams(
+    return SimpleNamespace(
         w_conv=rng.normal(size=(d_emb, d_hidden)),
         w_g=rng.normal(size=(d_hidden, c)),
         b_g=rng.normal(size=c),
         w_l=rng.normal(size=(d_emb, c)),
         b_l=rng.normal(size=c),
+        w_g_hidden=None, b_g_hidden=None, w_l_hidden=None, b_l_hidden=None,
     )
 
 
+def make_sample(rng, n, n_f, d):
+    return SimpleNamespace(ids=rng.integers(0, d, size=(n, n_f)),
+                           weights=rng.uniform(0.5, 1.5, size=(n, n_f)))
+
+
+def forward(table, params, config, sample):
+    """forward_all_nodes on constant tensors, as an array."""
+    consts = SimpleNamespace(**{k: None if v is None else Tensor(v)
+                                for k, v in vars(params).items()})
+    return forward_all_nodes(Tensor(table), consts, config, sample, Tape(), None).data
+
+
+def embedded(table, sample):
+    return table[sample.ids] * sample.weights[..., None]
+
+
 def test_embed_gathers_and_scales():
+    # meanpool through identity weights and zero bias returns the mean embedded row
     table = np.arange(12.0).reshape(4, 3)
-    ids = np.array([[0, 2], [3, 3]])
-    weights = np.array([[1.0, 2.0], [0.5, 1.0]])
-    e = embed(table, ids, weights)
-    assert np.array_equal(e[0, 1], table[2] * 2.0)
-    assert np.array_equal(e[1, 0], table[3] * 0.5)
+    sample = SimpleNamespace(ids=np.array([[0, 2], [3, 3]]),
+                             weights=np.array([[1.0, 2.0], [0.5, 1.0]]))
+    params = SimpleNamespace(w_l=np.eye(3), b_l=np.zeros(3),
+                             w_l_hidden=None, b_l_hidden=None)
+    cfg = InteractionConfig(rho=1.0, alpha=0.0, n_f=2, d_hidden=3, variant="meanpool")
+    h = forward(table, params, cfg, sample)
+    assert np.array_equal(h[0], (table[0] * 1.0 + table[2] * 2.0) / 2)
+    assert np.array_equal(h[1], (table[3] * 0.5 + table[3] * 1.0) / 2)
 
 
 def test_biinteraction_frozen_pair():
@@ -104,32 +126,44 @@ def test_global_interaction_is_mean_of_relu():
 def test_fuse_alpha_endpoints_skip_dead_route():
     rng = np.random.default_rng(7)
     params = make_params(rng, 8, 6, 3)
-    h_l = rng.normal(size=(5, 8))
-    h_g = rng.normal(size=(5, 6))
+    table = rng.normal(size=(10, 8))
+    sample = make_sample(rng, 5, 4, 10)
+    e = embedded(table, sample)
+    h_l = local_biinteraction(e)
+    h_g = global_interaction(e, params.w_conv, 1.0)
     cfg0 = InteractionConfig(rho=1.0, alpha=0.0, n_f=4, d_hidden=6)
     cfg1 = InteractionConfig(rho=1.0, alpha=1.0, n_f=4, d_hidden=6)
-    # alpha=0 must not read h_g at all; alpha=1 must not read h_l
-    assert np.array_equal(fuse(h_l, None, params, cfg0), h_l @ params.w_l + params.b_l)
-    assert np.array_equal(fuse(None, h_g, params, cfg1), h_g @ params.w_g + params.b_g)
+    # alpha=0 must not read the global route at all; alpha=1 must not read the local one
+    dead_g = SimpleNamespace(**{**vars(params), "w_conv": np.full((8, 6), np.nan),
+                                "w_g": np.full((6, 3), np.nan)})
+    dead_l = SimpleNamespace(**{**vars(params), "w_l": np.full((8, 3), np.nan)})
+    assert np.array_equal(forward(table, dead_g, cfg0, sample), h_l @ params.w_l + params.b_l)
+    assert np.array_equal(forward(table, dead_l, cfg1, sample), h_g @ params.w_g + params.b_g)
 
 
 def test_fuse_interior_is_convex_combination():
     rng = np.random.default_rng(9)
     params = make_params(rng, 8, 6, 3)
-    h_l = rng.normal(size=(5, 8))
-    h_g = rng.normal(size=(5, 6))
+    table = rng.normal(size=(10, 8))
+    sample = make_sample(rng, 5, 4, 10)
+    e = embedded(table, sample)
+    h_l = local_biinteraction(e)
+    h_g = global_interaction(e, params.w_conv, 1.0)
     cfg = InteractionConfig(rho=1.0, alpha=0.3, n_f=4, d_hidden=6)
     expected = 0.3 * (h_g @ params.w_g + params.b_g) + 0.7 * (h_l @ params.w_l + params.b_l)
-    assert np.abs(fuse(h_l, h_g, params, cfg) - expected).max() < 1e-14
+    assert np.abs(forward(table, params, cfg, sample) - expected).max() < 1e-14
 
 
 def test_fuse_relu_final_activation():
     rng = np.random.default_rng(13)
     params = make_params(rng, 4, 4, 2)
-    h_l = rng.normal(size=(3, 4))
+    table = rng.normal(size=(6, 4))
+    sample = make_sample(rng, 3, 4, 6)
+    h_l = local_biinteraction(embedded(table, sample))
     cfg = InteractionConfig(rho=0.0, alpha=0.0, n_f=4, d_hidden=4, final_activation="relu")
-    out = fuse(h_l, None, params, cfg)
+    out = forward(table, params, cfg, sample)
     assert np.array_equal(out, np.maximum(h_l @ params.w_l + params.b_l, 0.0))
+    assert (out == 0.0).any() and (out > 0.0).any()  # the relu acts on this case
 
 
 def test_config_validation():

@@ -1,8 +1,10 @@
-"""End-to-end model: taped/eval parity, dropout, loss, checkpoint roundtrip."""
+"""End-to-end model: the one forward against the numpy oracle, dropout, loss, checkpoints."""
 
 import numpy as np
 import pytest
 
+import catgcn.model
+import forward_oracle as oracle
 from catgcn.autodiff import Tape, backward, finite_diff_check
 from catgcn.checkpoint import load_checkpoint, save_checkpoint
 from catgcn.data import generate_synthetic, make_split, sample_features
@@ -10,7 +12,6 @@ from catgcn.graph import build_adjacency, normalize_sym
 from catgcn.model import (
     ModelOutput,
     dropout_mask,
-    loss,
     model_forward,
     predict,
     taped_forward,
@@ -31,8 +32,7 @@ def setup(seed=0, **overrides):
 
 def test_eval_forward_shapes():
     ds, cfg, norm, sample, params = setup()
-    out = model_forward(params, sample, norm, cfg.to_model_config(), mode="eval")
-    assert out.h.shape == (24, 3)
+    out = model_forward(params, sample, norm, cfg.to_model_config())
     assert out.y.shape == (24, 3)
     assert out.probs.shape == (24, 3)
     assert np.allclose(out.probs.sum(axis=1), 1.0)
@@ -42,20 +42,29 @@ def test_taped_forward_matches_eval_bitwise():
     for alpha in (0.0, 0.3, 1.0):
         for hops in (0, 2):
             ds, cfg, norm, sample, params = setup(alpha=alpha, hops=hops)
-            out = model_forward(params, sample, norm, cfg.to_model_config(), mode="eval")
+            out = model_forward(params, sample, norm, cfg.to_model_config())
             tape = Tape()
             y = taped_forward(tape, params, sample, norm, cfg.to_model_config(), train=True)
-            # no dropout configured: training pass must equal eval bit for bit
+            ref = oracle.model_forward(params, sample, norm, cfg.to_model_config())
+            # no dropout configured: training pass must equal eval and the
+            # numpy composition bit for bit
             assert np.array_equal(y.data, out.y)
+            assert np.array_equal(out.y, ref.y)
+            assert np.array_equal(out.probs, ref.probs)
 
 
 def test_taped_forward_with_dropout_matches_numpy_mirror():
-    ds, cfg, norm, sample, params = setup(dropout=0.4, alpha=0.5, dropout_site="both")
-    mcfg = cfg.to_model_config()
-    tape = Tape()
-    y = taped_forward(tape, params, sample, norm, mcfg, dropout_seed=3, epoch=5, train=True)
-    out = model_forward(params, sample, norm, mcfg, mode="train", dropout_seed=3, epoch=5)
-    assert np.array_equal(y.data, out.y)
+    for site in ("embedding", "projections", "both"):
+        for route in (dict(alpha=0.5), dict(alpha=0.0), dict(alpha=1.0),
+                      dict(variant="meanpool"), dict(deep_projection=True)):
+            ds, cfg, norm, sample, params = setup(dropout=0.4, dropout_site=site, **route)
+            mcfg = cfg.to_model_config()
+            tape = Tape()
+            y = taped_forward(tape, params, sample, norm, mcfg, dropout_seed=3, epoch=5,
+                              train=True)
+            out = oracle.model_forward(params, sample, norm, mcfg, mode="train",
+                                       dropout_seed=3, epoch=5)
+            assert np.array_equal(y.data, out.y), (site, route)
 
 
 def test_dropout_mask_values_and_determinism():
@@ -81,11 +90,33 @@ def test_dropout_rate_zero_is_identity_mask():
 
 
 def test_eval_mode_never_drops():
-    ds, cfg, norm, sample, params = setup(dropout=0.9)
+    ds, cfg, norm, sample, params = setup(dropout=0.9, dropout_site="both")
     mcfg = cfg.to_model_config()
-    a = model_forward(params, sample, norm, mcfg, mode="eval")
-    b = model_forward(params, sample, norm, mcfg, mode="eval", dropout_seed=99, epoch=7)
-    assert np.array_equal(a.y, b.y)
+    out = model_forward(params, sample, norm, mcfg)
+    undropped = taped_forward(Tape(), params, sample, norm, mcfg, dropout_seed=99, epoch=7,
+                              train=False)
+    dropped = taped_forward(Tape(), params, sample, norm, mcfg, dropout_seed=99, epoch=7,
+                            train=True)
+    assert np.array_equal(out.y, undropped.data)
+    assert not np.array_equal(out.y, dropped.data)
+
+
+def test_model_forward_records_nothing(monkeypatch):
+    ds, cfg, norm, sample, params = setup(alpha=0.5, deep_projection=True)
+    seen = []
+
+    def spy(tape, *args, **kwargs):
+        y = taped_forward(tape, *args, **kwargs)
+        seen.append((tape, y))
+        return y
+
+    monkeypatch.setattr(catgcn.model, "taped_forward", spy)
+    out = model_forward(params, sample, norm, cfg.to_model_config())
+    [(tape, y)] = seen
+    assert tape._records == [] and not tape._outs
+    assert not y.requires_grad and not y.needs_grad
+    assert isinstance(out.y, np.ndarray) and isinstance(out.probs, np.ndarray)
+    assert all(t.requires_grad for t in params.named_tensors().values())
 
 
 def test_loss_reporting_matches_taped():
@@ -96,8 +127,8 @@ def test_loss_reporting_matches_taped():
         tape = Tape()
         y = taped_forward(tape, params, sample, norm, mcfg, train=True)
         lt = taped_loss(tape, y, ds.labels, split.train_ids, eta, params)
-        out = model_forward(params, sample, norm, mcfg, mode="eval")
-        assert loss(out, ds.labels, split.train_ids, eta, params) == pytest.approx(
+        out = oracle.model_forward(params, sample, norm, mcfg, mode="eval")
+        assert oracle.loss(out, ds.labels, split.train_ids, eta, params) == pytest.approx(
             lt.item(), abs=1e-15
         )
 
@@ -119,7 +150,7 @@ def test_regularizer_covers_every_trainable_tensor():
 
 def test_predict_tie_breaks_to_lowest_class():
     probs = np.array([[0.4, 0.4, 0.2], [0.1, 0.45, 0.45]])
-    out = ModelOutput(h=probs, y=probs, probs=probs)
+    out = ModelOutput(y=probs, probs=probs)
     assert np.array_equal(predict(out), [0, 1])
 
 
@@ -131,9 +162,9 @@ def test_alpha_zero_ignores_global_parameters():
     )
     assert params.w_conv not in grads
     assert params.w_g not in grads
-    out1 = model_forward(params, sample, norm, cfg.to_model_config(), mode="eval")
+    out1 = model_forward(params, sample, norm, cfg.to_model_config())
     params.w_conv.data += 100.0  # dead route: output must not move
-    out2 = model_forward(params, sample, norm, cfg.to_model_config(), mode="eval")
+    out2 = model_forward(params, sample, norm, cfg.to_model_config())
     assert np.array_equal(out1.y, out2.y)
 
 
@@ -162,7 +193,7 @@ def test_whole_model_gradient_small():
 
 def test_meanpool_variant_uses_mean_embedding():
     ds, cfg, norm, sample, params = setup(variant="meanpool", hops=0)
-    out = model_forward(params, sample, norm, cfg.to_model_config(), mode="eval")
+    out = model_forward(params, sample, norm, cfg.to_model_config())
     e = params.embedding.data[sample.ids] * sample.weights[..., None]
     expected = e.mean(axis=1) @ params.w_l.data + params.b_l.data
     assert np.abs(out.y - expected).max() < 1e-14
@@ -171,11 +202,13 @@ def test_meanpool_variant_uses_mean_embedding():
 def test_deep_projection_adds_hidden_layer():
     ds, cfg, norm, sample, params = setup(deep_projection=True, alpha=0.5)
     assert params.w_l_hidden is not None
-    out = model_forward(params, sample, norm, cfg.to_model_config(), mode="eval")
+    out = model_forward(params, sample, norm, cfg.to_model_config())
     assert out.y.shape == (24, 3)
     tape = Tape()
     y = taped_forward(tape, params, sample, norm, cfg.to_model_config(), train=True)
     assert np.array_equal(y.data, out.y)
+    ref = oracle.model_forward(params, sample, norm, cfg.to_model_config(), mode="eval")
+    assert np.array_equal(out.y, ref.y)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -1,5 +1,7 @@
 """Training loop parts: init, Adam, metrics, early stopping, grid search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,8 +177,7 @@ def test_train_returns_best_epoch_parameters():
     from catgcn.model import model_forward
     from catgcn.training import evaluate
 
-    out = model_forward(result.params, result.sample, result.norm_adj,
-                        cfg.to_model_config(), mode="eval")
+    out = model_forward(result.params, result.sample, result.norm_adj, cfg.to_model_config())
     _, val_f1 = evaluate(out, ds.labels, result.split.val_ids)
     best_logged = max(r.val_macro_f1 for r in result.records)
     assert val_f1 == pytest.approx(best_logged, abs=1e-12)
@@ -224,6 +225,27 @@ def test_selection_with_resampling_local_signal_repro():
 def test_config_rejects_non_finite_and_empty_dimensions(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
+
+
+_WRONG_TYPES = {
+    "float": ["fast", True, None],
+    "int": [4.5, True, "3"],
+    "bool": [1, "true", None],
+    "str": [3, True, None],
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    (f.name, value) for f in dataclasses.fields(TrainConfig) for value in _WRONG_TYPES[f.type]
+])
+def test_config_rejects_wrong_types(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be of type "):
+        TrainConfig(**{field: value})
+
+
+def test_config_takes_ints_for_floats():
+    cfg = TrainConfig(learning_rate=1, eta=0, dropout=0, alpha=1, rho=2)
+    assert cfg.to_model_config().interaction.rho == 2
 
 
 def test_train_is_deterministic():
@@ -336,7 +358,7 @@ def reference_train(config: TrainConfig, dataset):
         if not np.isfinite(loss_value):
             raise TrainingDiverged(epoch, records)
         adam_step(params, grads, state, config.learning_rate)
-        output = model_forward(params, sample, norm_adj, mcfg, mode="eval")
+        output = model_forward(params, sample, norm_adj, mcfg)
         val_acc, val_f1 = evaluate(output, labels, split.val_ids)
         records.append(EpochRecord(epoch, loss_value, val_acc, val_f1, wall_time_s=0.0))
         if stopper.update(_monitor_value(config, output, labels, split.val_ids, val_acc, val_f1),
@@ -344,7 +366,7 @@ def reference_train(config: TrainConfig, dataset):
             best_params = params.copy()
         if stopper.should_stop(epoch):
             break
-    output = model_forward(best_params, sample, norm_adj, mcfg, mode="eval")
+    output = model_forward(best_params, sample, norm_adj, mcfg)
     acc, f1 = evaluate(output, labels, split.test_ids)
     val_acc, val_f1 = evaluate(output, labels, split.val_ids)
     held_out = {"test_accuracy": acc, "test_macro_f1": f1, "val_accuracy": val_acc,

@@ -4,6 +4,16 @@ A Tape records each primitive in execution order; backward replays the records
 in exact reverse order and accumulates gradients additively. The primitive
 vocabulary is fixed and closed: everything the model trains is expressed with
 the ops below, so every backward rule is auditable in one place.
+
+A record keeps only what its backward rule reads: the tape-local node number
+of its output; for each input, its node number if this tape produced it, the
+Tensor itself if it is a leaf that requires a gradient (so `backward` can key
+the result), or None for a constant; and the vjp closure, which captures the
+arrays and shapes its rule reads, never Tensors. An output no rule reads (the
+gathered embedding rows, the global route's relu output) is freed as soon as
+the forward drops it. `backward` consumes the tape: it pops each record as it
+replays it, so a record's closure and the arrays it captured are freed once
+its gradient has been computed, and a replayed tape cannot be replayed again.
 """
 
 from __future__ import annotations
@@ -17,12 +27,14 @@ from .interaction import artificial_propagate, local_biinteraction
 class Tensor:
     """Float64 array node in a recorded computation; leaves may require gradients."""
 
-    __slots__ = ("data", "requires_grad", "needs_grad")
+    __slots__ = ("data", "requires_grad", "needs_grad", "tape", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.needs_grad = self.requires_grad
+        self.tape = None  # the Tape that recorded this tensor as an output
+        self.node = None  # its node number on that tape
 
     @property
     def shape(self):
@@ -60,15 +72,24 @@ class Tape:
     """Ordered record of primitive applications; replay order is creation order."""
 
     def __init__(self):
-        self._records = []  # (out, inputs, vjp); vjp(g) aligns with inputs
-        self._outs = set()
+        self._records = []  # (node, keys, vjp); vjp(g) aligns with keys
+        self._replayed = False
+
+    def _key(self, t: Tensor):
+        """How a record names an input: its node number on this tape, the leaf
+        itself if it requires a gradient, or None for a constant."""
+        if t.tape is self:
+            return t.node
+        return t if t.requires_grad else None
 
     def _emit(self, out_data, inputs, vjp) -> Tensor:
+        if self._replayed:  # node numbers are record indices; the replay emptied the list
+            raise ValueError("tape already replayed")
         out = Tensor(out_data)
         out.needs_grad = any(t.needs_grad for t in inputs)
         if out.needs_grad:
-            self._records.append((out, inputs, vjp))
-            self._outs.add(id(out))
+            out.tape, out.node = self, len(self._records)
+            self._records.append((out.node, tuple(self._key(t) for t in inputs), vjp))
         return out
 
     # -- primitives ---------------------------------------------------------
@@ -78,10 +99,13 @@ class Tape:
         if b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
             raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
         k, n = b.data.shape
+        # each factor is kept only for the other one's gradient
+        x = a.data if b.needs_grad else None
+        w = b.data if a.needs_grad else None
 
         def vjp(g):
-            ga = g @ b.data.T if a.needs_grad else None
-            gb = a.data.reshape(-1, k).T @ g.reshape(-1, n) if b.needs_grad else None
+            ga = None if w is None else g @ w.T
+            gb = None if x is None else x.reshape(-1, k).T @ g.reshape(-1, n)
             return ga, gb
 
         return self._emit(a.data @ b.data, (a, b), vjp)
@@ -105,10 +129,19 @@ class Tape:
     def elementwise_mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
             raise ValueError(f"elementwise_mul shape mismatch: {a.shape} vs {b.shape}")
-        return self._emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+        # each factor is kept only for the other one's gradient, so a dropout
+        # mask keeps no reference to the rows it masks
+        x = a.data if b.needs_grad else None
+        y = b.data if a.needs_grad else None
+
+        def vjp(g):
+            return (None if y is None else g * y), (None if x is None else g * x)
+
+        return self._emit(a.data * b.data, (a, b), vjp)
 
     def elementwise_square(self, x: Tensor) -> Tensor:
-        return self._emit(x.data * x.data, (x,), lambda g: (2.0 * x.data * g,))
+        xd = x.data
+        return self._emit(xd * xd, (x,), lambda g: (2.0 * xd * g,))
 
     def relu(self, x: Tensor) -> Tensor:
         """max(x, 0); the subgradient at exactly 0 is taken as 0.
@@ -116,20 +149,24 @@ class Tape:
         The sign mask is built in the backward rule, so a forward that
         records nothing never computes it.
         """
-        return self._emit(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0.0),))
+        xd = x.data
+        return self._emit(np.maximum(xd, 0.0), (x,), lambda g: (g * (xd > 0.0),))
 
     def mean_rows(self, x: Tensor) -> Tensor:
         """Mean over axis -2 (the feature-row axis)."""
-        n = x.data.shape[-2]
+        shape = x.data.shape
+        n = shape[-2]
 
         def vjp(g):
-            return (np.broadcast_to(g[..., None, :] / n, x.data.shape),)
+            return (np.broadcast_to(g[..., None, :] / n, shape),)
 
         return self._emit(x.data.mean(axis=-2), (x,), vjp)
 
     def sum_rows(self, x: Tensor) -> Tensor:
+        shape = x.data.shape
+
         def vjp(g):
-            return (np.broadcast_to(g[..., None, :], x.data.shape),)
+            return (np.broadcast_to(g[..., None, :], shape),)
 
         return self._emit(x.data.sum(axis=-2), (x,), vjp)
 
@@ -158,20 +195,24 @@ class Tape:
         return self._emit(x.data * w, (x,), lambda g: (g * w,))
 
     def total_sum(self, x: Tensor) -> Tensor:
+        shape = x.data.shape
+
         def vjp(g):
-            return (np.full(x.data.shape, float(g)),)
+            return (np.full(shape, float(g)),)
 
         return self._emit(x.data.sum(), (x,), vjp)
 
     def biinteraction(self, e: Tensor) -> Tensor:
         """Pairwise-product pooling over rows; gradient at row i is (s - e_i) * g
         with s the row sum, because each row pairs with every other row once."""
+        ed = e.data
 
         def vjp(g):
-            s = e.data.sum(axis=-2, keepdims=True)
-            return ((s - e.data) * g[..., None, :],)
+            out = np.subtract(ed.sum(axis=-2, keepdims=True), ed)
+            out *= g[..., None, :]
+            return (out,)
 
-        return self._emit(local_biinteraction(e.data), (e,), vjp)
+        return self._emit(local_biinteraction(ed), (e,), vjp)
 
     def artificial_prop(self, e: Tensor, rho: float) -> Tensor:
         """Probe-weighted row mixing; the operator is symmetric, so the backward
@@ -197,13 +238,14 @@ class Tape:
         mask = np.sort(np.asarray(mask, dtype=np.int64))
         if len(mask) == 0:
             raise ValueError("softmax_cross_entropy needs a non-empty mask")
-        value = masked_ce_mean(logits.data, labels, mask)
+        z = logits.data
+        value = masked_ce_mean(z, labels, mask)
 
         def vjp(g):
-            p = softmax_rows(logits.data[mask])
+            p = softmax_rows(z[mask])
             p[np.arange(len(mask)), labels[mask]] -= 1.0
             p *= g / len(mask)
-            out = np.zeros_like(logits.data)
+            out = np.zeros_like(z)
             out[mask] = p
             return (out,)
 
@@ -214,26 +256,31 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     """Gradients of a scalar recorded on `tape` w.r.t. every requires_grad leaf.
 
     Records are visited in exact reverse creation order; contributions to a
-    tensor reached along several paths accumulate additively.
+    tensor reached along several paths accumulate additively. The replay
+    consumes the tape: each record is popped before its rule runs, and a
+    second backward on the same tape raises ValueError.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if id(loss) not in tape._outs:
+    if loss.tape is not tape:
         raise ValueError("loss tensor was not produced by this tape")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
-    leaves: dict[int, Tensor] = {}
-    for out, inputs, vjp in reversed(tape._records):
-        g = grads.pop(id(out), None)
-        if g is None:
+    if tape._replayed:
+        raise ValueError("tape already replayed")
+    tape._replayed = True
+    records = tape._records
+    # keyed as the records name their inputs: node numbers and leaf tensors
+    grads: dict = {loss.node: np.ones(())}
+    while records:
+        node, keys, vjp = records.pop()
+        if node not in grads:
             continue
-        for inp, gi in zip(inputs, vjp(g)):
-            if gi is None or not inp.needs_grad:
+        for key, gi in zip(keys, vjp(grads.pop(node))):
+            if gi is None or key is None:
                 continue
-            acc = grads.get(id(inp))
-            grads[id(inp)] = gi if acc is None else acc + gi
-            if inp.requires_grad:
-                leaves[id(inp)] = inp
-    return {t: grads[i] for i, t in leaves.items()}
+            acc = grads.get(key)
+            grads[key] = gi if acc is None else acc + gi
+    # every node's entry was popped at its own record, so only leaves remain
+    return grads
 
 
 def finite_diff_check(f, params, step: float = 1e-5) -> float:

@@ -101,7 +101,10 @@ def _read_config_file(path: str) -> dict:
             key = key.strip()
             if not sep or key not in _CONFIG_FIELDS:
                 raise ValueError(f"{path}:{lineno}: expected <field>=<value>, got {line!r}")
-            out[key] = _coerce(key, value.strip())
+            try:
+                out[key] = _coerce(key, value.strip())
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 

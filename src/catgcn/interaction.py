@@ -61,11 +61,15 @@ def local_biinteraction(e: np.ndarray) -> np.ndarray:
 
 def artificial_propagate(e: np.ndarray, rho: float) -> np.ndarray:
     """Row i becomes (sum_j e_j + rho * e_i) / (n_f + rho): the probe-weighted mixing
-    operator applied without materializing its (n_f x n_f) matrix."""
+    operator applied without materializing its (n_f x n_f) matrix. The result is
+    built in one buffer: rho * e, then the row sum added, then the division."""
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
     n = e.shape[-2]
-    return (e.sum(axis=-2, keepdims=True) + rho * e) / (n + rho)
+    out = np.multiply(e, rho)
+    out += e.sum(axis=-2, keepdims=True)
+    out /= n + rho
+    return out
 
 
 def global_interaction(e: np.ndarray, w_conv: np.ndarray, rho: float) -> np.ndarray:

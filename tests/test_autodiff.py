@@ -277,6 +277,18 @@ def test_backward_rejects_foreign_tensor():
         backward(tape, loss)
 
 
+def test_backward_consumes_the_tape():
+    x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+    tape = Tape()
+    loss = tape.total_sum(tape.elementwise_square(x))
+    assert np.array_equal(backward(tape, loss)[x], [4.0, 6.0])
+    assert tape._records == []
+    with pytest.raises(ValueError, match="tape already replayed"):
+        backward(tape, loss)
+    with pytest.raises(ValueError, match="tape already replayed"):
+        tape.relu(x)
+
+
 def test_constants_get_no_gradient():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     c = Tensor(np.full((2, 2), 3.0))  # constant

@@ -154,6 +154,21 @@ def test_bad_config_file_is_usage_error(dataset_dir, tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("line, field, reason", [
+    ("d_emb=abc", "d_emb", "invalid literal for int()"),
+    ("learning_rate=fast", "learning_rate", "could not convert string to float"),
+    ("deep_projection=maybe", "deep_projection", "expected a boolean"),
+])
+def test_bad_config_file_value_names_file_and_line(tmp_path, capsys, line, field, reason):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# run\nmax_epochs=3\n{line}\n")
+    # the dataset paths do not exist: the config file is read first and exits 2
+    code, _, err = run(capsys, "train", "--edges", "/no/e", "--features", "/no/f",
+                       "--labels", "/no/l", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert f"error: {cfg}:3: {field}: {reason}" in err
+
+
 def test_missing_dataset_is_data_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "train", "--edges", "/no/such/file", "--features", "/no/f",

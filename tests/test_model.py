@@ -1,11 +1,17 @@
-"""End-to-end model: the one forward against the numpy oracle, dropout, loss, checkpoints."""
+"""End-to-end model: the one forward against the numpy oracle, dropout, loss, checkpoints,
+and the training step against the reference tape: same bits, less memory."""
+
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import catgcn.model
 import forward_oracle as oracle
-from catgcn.autodiff import Tape, backward, finite_diff_check
+import tape_oracle
+from catgcn.autodiff import Tape, Tensor, backward, finite_diff_check
 from catgcn.checkpoint import load_checkpoint, save_checkpoint
 from catgcn.data import generate_synthetic, make_split, sample_features
 from catgcn.graph import build_adjacency, normalize_sym
@@ -113,10 +119,98 @@ def test_model_forward_records_nothing(monkeypatch):
     monkeypatch.setattr(catgcn.model, "taped_forward", spy)
     out = model_forward(params, sample, norm, cfg.to_model_config())
     [(tape, y)] = seen
-    assert tape._records == [] and not tape._outs
+    assert tape._records == [] and y.tape is None
     assert not y.requires_grad and not y.needs_grad
     assert isinstance(out.y, np.ndarray) and isinstance(out.probs, np.ndarray)
     assert all(t.requires_grad for t in params.named_tensors().values())
+
+
+def test_tape_keeps_only_what_backward_reads():
+    ds, cfg, norm, sample, params = setup(alpha=0.5)
+    split = make_split(ds, 0)
+    mcfg = cfg.to_model_config()
+    dead = {}
+
+    class Spy(Tape):
+        def gather_rows(self, table, ids):
+            out = super().gather_rows(table, ids)
+            dead["gather_rows"] = weakref.ref(out.data)
+            return out
+
+        def relu(self, x):
+            out = super().relu(x)
+            dead["relu"] = weakref.ref(out.data)
+            return out
+
+    tape = Spy()
+    gc.disable()  # what is freed must be freed by reference counting alone
+    try:
+        y = taped_forward(tape, params, sample, norm, mcfg, train=True)
+        assert set(dead) == {"gather_rows", "relu"}
+        assert all(ref() is None for ref in dead.values())
+        assert tape._records
+        leaves = set(map(id, params.named_tensors().values()))
+        for _, keys, vjp in tape._records:
+            assert all(isinstance(k, int) or k is None or id(k) in leaves for k in keys)
+            cells = [c.cell_contents for c in vjp.__closure__ or ()]
+            assert not any(isinstance(c, Tensor) for c in cells)
+        backward(tape, taped_loss(tape, y, ds.labels, split.train_ids, 0.0, params))
+        assert tape._records == []
+    finally:
+        gc.enable()
+
+
+def reference_training_step(params, sample, norm, mcfg, labels, train_ids, eta, dropout_seed,
+                            epoch):
+    """`training_step` recorded and replayed on the reference tape."""
+    tape = tape_oracle.Tape()
+    y = taped_forward(tape, params, sample, norm, mcfg, dropout_seed=dropout_seed, epoch=epoch,
+                      train=True)
+    lt = taped_loss(tape, y, labels, train_ids, eta, params)
+    return lt.item(), tape_oracle.backward(tape, lt), y.data
+
+
+@pytest.mark.parametrize("route", [
+    dict(alpha=0.0), dict(alpha=0.5), dict(alpha=1.0), dict(variant="meanpool"),
+    dict(alpha=0.5, deep_projection=True, final_activation="relu"),
+])
+@pytest.mark.parametrize("extra", [
+    dict(),
+    dict(dropout=0.3, dropout_site="both", eta=0.01, hops=0),
+])
+def test_training_step_is_bit_equal_to_reference_tape(route, extra):
+    ds, cfg, norm, sample, params = setup(seed=2, rho=2.5, **route, **extra)
+    split = make_split(ds, 2)
+    args = (params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, cfg.eta)
+    loss, grads, y = training_step(*args, dropout_seed=3, epoch=5)
+    ref_loss, ref_grads, ref_y = reference_training_step(*args, dropout_seed=3, epoch=5)
+    assert loss == ref_loss
+    assert y.tobytes() == ref_y.tobytes()
+    assert list(grads) == list(ref_grads)  # same leaves, reached in the same order
+    for t, g in grads.items():
+        assert g.shape == t.shape and g.tobytes() == ref_grads[t].tobytes()
+
+
+def test_training_step_peak_memory():
+    # the train-wide workload's shape at 300 nodes: one (N, n_f, d_emb) float64
+    # array is the unit; the reference tape peaks above 9 units here
+    nodes, n_f, d = 300, 20, 16
+    ds = generate_synthetic("homophily", nodes, 200, 4, n_f, 0.07, 0.007, seed=1)
+    cfg = TrainConfig(d_emb=d, d_hidden=d, n_f=n_f, alpha=0.5, rho=1.0, hops=2, seed=1)
+    norm, _ = normalize_sym(build_adjacency(ds.edges, ds.num_nodes))
+    sample = sample_features(ds, n_f, 1)
+    params = xavier_init(ds.num_features, ds.num_classes, cfg)
+    split = make_split(ds, 1)
+    args = (params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, 0.0)
+    training_step(*args)  # warm up lazy imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        training_step(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = nodes * n_f * d * 8
+    assert peak <= 5 * unit, f"peak {peak / unit:.2f} x (N * n_f * d_emb * 8 bytes)"
 
 
 def test_loss_reporting_matches_taped():

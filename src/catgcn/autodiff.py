@@ -10,10 +10,19 @@ of its output; for each input, its node number if this tape produced it, the
 Tensor itself if it is a leaf that requires a gradient (so `backward` can key
 the result), or None for a constant; and the vjp closure, which captures the
 arrays and shapes its rule reads, never Tensors. An output no rule reads (the
-gathered embedding rows, the global route's relu output) is freed as soon as
-the forward drops it. `backward` consumes the tape: it pops each record as it
-replays it, so a record's closure and the arrays it captured are freed once
-its gradient has been computed, and a replayed tape cannot be replayed again.
+gathered embedding rows once weights other than 1.0 scale them, the global
+route's relu output) is freed as soon as the forward drops it. `backward`
+consumes the tape: it pops each record as it replays it, so a record's closure
+and the arrays it captured are freed once its gradient has been computed, and
+a replayed tape cannot be replayed again.
+
+A vjp rule returns, for each input, None, a fresh array, the upstream `g`
+itself, or a read-only view; it never returns an array its closure captured.
+`backward` relies on this contract to add a later contribution in place into an
+accumulated gradient that it alone owns: a writeable array with no base, other
+than the upstream `g` of the rule that returned it, and returned by that rule
+once (`add` returns `(g, g)`). Any other accumulated gradient is summed into a
+new array, which backward then owns.
 """
 
 from __future__ import annotations
@@ -171,17 +180,21 @@ class Tape:
         return self._emit(x.data.sum(axis=-2), (x,), vjp)
 
     def gather_rows(self, table: Tensor, ids: np.ndarray) -> Tensor:
-        """table (d, k) indexed by ids (...); backward scatter-adds duplicate ids."""
+        """table (d, k) indexed by ids (...); backward scatter-adds duplicate ids.
+
+        The scatter is one `bincount` over the flat slot index `id * k + column`.
+        Each slot sums its contributions in row order, as a `bincount` per
+        column does, so the result is the same bit for bit. The index is as
+        large as the gradient, so each backward builds it and frees it rather
+        than keeping it for the run.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         d, k = table.data.shape
 
         def vjp(g):
-            flat = ids.ravel()
-            gf = g.reshape(-1, k)
-            out = np.empty((d, k))
-            for j in range(k):  # bincount per column: deterministic scatter-add
-                out[:, j] = np.bincount(flat, weights=gf[:, j], minlength=d)
-            return (out,)
+            slots = ids.reshape(-1, 1) * k + np.arange(k)
+            out = np.bincount(slots.ravel(), weights=g.ravel(), minlength=d * k)
+            return (out.reshape(d, k),)
 
         return self._emit(table.data[ids], (table,), vjp)
 
@@ -190,8 +203,16 @@ class Tape:
         return self._emit(c * x.data, (x,), lambda g: (c * g,))
 
     def scale_rows(self, x: Tensor, row_weights: np.ndarray) -> Tensor:
-        """x (..., n, d) with each row scaled by its constant weight (..., n)."""
-        w = np.asarray(row_weights, dtype=np.float64)[..., None]
+        """x (..., n, d) with each row scaled by its constant weight (..., n).
+
+        When every weight is exactly 1.0 the output wraps x's array itself and
+        the gradient passes through unchanged: `v * 1.0 == v` bit for bit, so
+        the skipped multiplications would change nothing.
+        """
+        w = np.asarray(row_weights, dtype=np.float64)
+        if np.all(w == 1.0):
+            return self._emit(x.data, (x,), lambda g: (g,))
+        w = w[..., None]
         return self._emit(x.data * w, (x,), lambda g: (g * w,))
 
     def total_sum(self, x: Tensor) -> Tensor:
@@ -204,15 +225,17 @@ class Tape:
 
     def biinteraction(self, e: Tensor) -> Tensor:
         """Pairwise-product pooling over rows; gradient at row i is (s - e_i) * g
-        with s the row sum, because each row pairs with every other row once."""
+        with s the row sum, because each row pairs with every other row once.
+        The forward computes s and the backward reuses it."""
         ed = e.data
+        s = ed.sum(axis=-2)
 
         def vjp(g):
-            out = np.subtract(ed.sum(axis=-2, keepdims=True), ed)
+            out = np.subtract(s[..., None, :], ed)
             out *= g[..., None, :]
             return (out,)
 
-        return self._emit(local_biinteraction(ed), (e,), vjp)
+        return self._emit(local_biinteraction(ed, row_sum=s), (e,), vjp)
 
     def artificial_prop(self, e: Tensor, rho: float) -> Tensor:
         """Probe-weighted row mixing; the operator is symmetric, so the backward
@@ -256,7 +279,8 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     """Gradients of a scalar recorded on `tape` w.r.t. every requires_grad leaf.
 
     Records are visited in exact reverse creation order; contributions to a
-    tensor reached along several paths accumulate additively. The replay
+    tensor reached along several paths accumulate additively, in place into a
+    gradient array backward alone owns (see the module docstring). The replay
     consumes the tape: each record is popped before its rule runs, and a
     second backward on the same tape raises ValueError.
     """
@@ -270,15 +294,26 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     records = tape._records
     # keyed as the records name their inputs: node numbers and leaf tensors
     grads: dict = {loss.node: np.ones(())}
+    owned = set()  # keys whose gradient array backward alone holds
     while records:
         node, keys, vjp = records.pop()
         if node not in grads:
             continue
-        for key, gi in zip(keys, vjp(grads.pop(node))):
+        g = grads.pop(node)
+        gis = vjp(g)
+        for key, gi in zip(keys, gis):
             if gi is None or key is None:
                 continue
+            if key in owned:
+                np.add(grads[key], gi, out=grads[key])
+                continue
             acc = grads.get(key)
-            grads[key] = gi if acc is None else acc + gi
+            if acc is not None:
+                gi = acc + gi
+            grads[key] = gi
+            if (gi.flags.writeable and gi.base is None and gi is not g
+                    and sum(r is gi for r in gis) < 2):
+                owned.add(key)
     # every node's entry was popped at its own record, so only leaves remain
     return grads
 

@@ -49,12 +49,13 @@ class InteractionConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
-def local_biinteraction(e: np.ndarray) -> np.ndarray:
+def local_biinteraction(e: np.ndarray, row_sum: np.ndarray | None = None) -> np.ndarray:
     """Sum of elementwise products over all distinct row pairs, in linear time.
 
     Equals 0.5 * ((sum_i e_i)^2 - sum_i e_i^2); a single row yields zero.
+    `row_sum` is `e.sum(axis=-2)` when a caller has already computed it.
     """
-    s = e.sum(axis=-2)
+    s = e.sum(axis=-2) if row_sum is None else row_sum
     sq = (e * e).sum(axis=-2)
     return 0.5 * (s * s - sq)
 

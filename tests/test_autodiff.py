@@ -1,8 +1,13 @@
-"""Reverse-mode tape: per-primitive gradients against central differences."""
+"""Reverse-mode tape: per-primitive gradients against central differences, and the
+scatter and the in-place gradient accumulation against the reference tape, bit for bit."""
+
+import itertools
 
 import numpy as np
 import pytest
 
+import catgcn.autodiff as autodiff
+import tape_oracle
 from catgcn.autodiff import Tape, Tensor, backward, finite_diff_check, masked_ce_mean, softmax_rows
 from catgcn.graph import build_adjacency, normalize_sym
 
@@ -133,6 +138,43 @@ def test_gather_rows_scatter_is_exact():
     assert np.array_equal(grads[table], [[3.0, 3.0], [0.0, 0.0], [1.0, 1.0]])
 
 
+def _scatter_cases():
+    rng = np.random.default_rng(12)
+    skewed = rng.integers(0, 7, size=(40, 8))
+    skewed[:, 2] = 3  # one id in every row
+    return {  # name: (table rows d, columns k, ids)
+        "duplicates": (4, 3, rng.integers(0, 4, size=(50, 6))),
+        "skewed": (7, 5, skewed),
+        "first_and_last_id": (9, 4, rng.choice([0, 8], size=(30, 5))),
+        "one_column": (6, 1, rng.integers(0, 6, size=(25, 4))),
+        "one_row_table": (1, 3, np.zeros((20, 4), dtype=np.int64)),
+        "3d_ids": (11, 3, rng.integers(0, 11, size=(5, 4, 6))),
+    }
+
+
+SCATTER_CASES = _scatter_cases()
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_gather_rows_scatter_matches_per_column_bincount(case):
+    d, k, ids = SCATTER_CASES[case]
+    rng = np.random.default_rng(13)
+    shape = ids.shape + (k,)
+    # magnitudes spread over 16 decades, so any other summation order changes bits
+    upstream = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+
+    def table_grad(mod):
+        table = mod.Tensor(np.zeros((d, k)), requires_grad=True)
+        tape = mod.Tape()
+        rows = tape.gather_rows(table, ids)
+        loss = tape.total_sum(tape.elementwise_mul(rows, mod.Tensor(upstream)))
+        return mod.backward(tape, loss)[table]
+
+    got, want = table_grad(autodiff), table_grad(tape_oracle)
+    assert got.shape == want.shape == (d, k)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_scale_and_scale_rows():
     rng = np.random.default_rng(7)
     x = leaf(rng, 4, 6)
@@ -257,6 +299,59 @@ def test_backward_accumulates_shared_input():
     y = tape.add(tape.elementwise_mul(x, x), x)  # y = x^2 + x, dy/dx = 2x + 1
     grads = backward(tape, tape.total_sum(y))
     assert np.array_equal(grads[x], [5.0, 7.0])
+
+
+def _twin(tape, a, b):
+    """a + b through a rule that returns one fresh array as both gradients."""
+    def vjp(g):
+        fresh = g + 0.0
+        return fresh, fresh
+
+    return tape._emit(a.data + b.data, (a, b), vjp)
+
+
+def _shared_gradient(mod, order, arrays, weights):
+    """Gradients of a loss over h = x @ w read by add(h, h), add(add_bias(h, b),
+    h2) with h2 = x @ v, mean_rows, a matmul and `_twin(h, h2)`, recorded in
+    `order`. Backward meets these in reverse: the upstream `g` passed on twice,
+    add_bias passing on a `g` that h2's gradient also is, a read-only broadcast,
+    a fresh array, and one fresh array given to two nodes, all summed into h's
+    one gradient."""
+    tape = mod.Tape()
+    leaves = {n: mod.Tensor(a.copy(), requires_grad=True) for n, a in arrays.items()}
+    h = tape.matmul(leaves["x"], leaves["w"])
+    h2 = tape.matmul(leaves["x"], leaves["v"])
+    uses = {
+        "add": lambda: tape.add(h, h),
+        "add_bias": lambda: tape.add(tape.add_bias(h, leaves["b"]), h2),
+        "mean_rows": lambda: tape.mean_rows(h),
+        "matmul": lambda: tape.matmul(h, leaves["v"]),
+        "twin": lambda: _twin(tape, h, h2),
+    }
+    loss = None
+    for name in order:
+        term = tape.total_sum(tape.elementwise_mul(uses[name](), mod.Tensor(weights[name])))
+        loss = term if loss is None else tape.add(loss, term)
+    grads = mod.backward(tape, loss)
+    return leaves, [grads[t] for t in leaves.values()]
+
+
+def test_backward_accumulates_in_place_only_into_arrays_it_owns():
+    rng = np.random.default_rng(14)
+    arrays = {n: rng.normal(size=s) for n, s in
+              dict(x=(3, 4, 5), w=(5, 5), v=(5, 5), b=(5,)).items()}
+    weights = {n: rng.normal(size=(3, 5) if n == "mean_rows" else (3, 4, 5))
+               for n in ("add", "add_bias", "mean_rows", "matmul", "twin")}
+    for order in itertools.permutations(weights):
+        leaves, got = _shared_gradient(autodiff, order, arrays, weights)
+        _, want = _shared_gradient(tape_oracle, order, arrays, weights)
+        for g, ref in zip(got, want):
+            assert g.shape == ref.shape and g.tobytes() == ref.tobytes(), order
+        for g, other in itertools.combinations(got, 2):
+            assert not np.shares_memory(g, other), order
+        for t, a in zip(leaves.values(), arrays.values()):
+            assert t.data.tobytes() == a.tobytes(), order
+            assert not any(np.shares_memory(t.data, g) for g in got), order
 
 
 def test_backward_rejects_non_scalar():

@@ -1,6 +1,7 @@
 """End-to-end model: the one forward against the numpy oracle, dropout, loss, checkpoints,
 and the training step against the reference tape: same bits, less memory."""
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -27,13 +28,26 @@ from catgcn.model import (
 from catgcn.training import TrainConfig, xavier_init
 
 
-def setup(seed=0, **overrides):
+def setup(seed=0, weights="unit", **overrides):
+    """A small model; `weights="mixed"` swaps in `mixed_weights` for the sample's
+    unit weights (the synthetic generator makes only 1.0)."""
     ds = generate_synthetic("homophily", 24, 30, 3, 5, 0.2, 0.05, seed=seed)
     cfg = TrainConfig(d_emb=8, d_hidden=8, n_f=5, seed=seed, **overrides)
     norm, _ = normalize_sym(build_adjacency(ds.edges, ds.num_nodes))
     sample = sample_features(ds, cfg.n_f, seed)
+    if weights == "mixed":
+        sample = mixed_weights(sample, seed)
     params = xavier_init(ds.num_features, ds.num_classes, cfg)
     return ds, cfg, norm, sample, params
+
+
+def mixed_weights(sample, seed):
+    """The sample with about half its weights drawn from (0.1, 3) and the rest exactly 1.0."""
+    rng = np.random.default_rng(seed)
+    shape = sample.weights.shape
+    w = np.where(rng.random(shape) < 0.5, 1.0, rng.uniform(0.1, 3.0, shape))
+    assert (w == 1.0).any() and (w != 1.0).any()
+    return dataclasses.replace(sample, weights=w)
 
 
 def test_eval_forward_shapes():
@@ -126,38 +140,52 @@ def test_model_forward_records_nothing(monkeypatch):
 
 
 def test_tape_keeps_only_what_backward_reads():
-    ds, cfg, norm, sample, params = setup(alpha=0.5)
-    split = make_split(ds, 0)
-    mcfg = cfg.to_model_config()
-    dead = {}
+    for weights in ("unit", "mixed"):
+        ds, cfg, norm, sample, params = setup(alpha=0.5, weights=weights)
+        split = make_split(ds, 0)
+        mcfg = cfg.to_model_config()
+        refs = {}
 
-    class Spy(Tape):
-        def gather_rows(self, table, ids):
-            out = super().gather_rows(table, ids)
-            dead["gather_rows"] = weakref.ref(out.data)
-            return out
+        class Spy(Tape):
+            def gather_rows(self, table, ids):
+                out = super().gather_rows(table, ids)
+                refs["gather_rows"] = weakref.ref(out.data)
+                return out
 
-        def relu(self, x):
-            out = super().relu(x)
-            dead["relu"] = weakref.ref(out.data)
-            return out
+            def scale_rows(self, x, row_weights):
+                out = super().scale_rows(x, row_weights)
+                refs["scale_rows"] = weakref.ref(out.data)
+                return out
 
-    tape = Spy()
-    gc.disable()  # what is freed must be freed by reference counting alone
-    try:
-        y = taped_forward(tape, params, sample, norm, mcfg, train=True)
-        assert set(dead) == {"gather_rows", "relu"}
-        assert all(ref() is None for ref in dead.values())
-        assert tape._records
-        leaves = set(map(id, params.named_tensors().values()))
-        for _, keys, vjp in tape._records:
-            assert all(isinstance(k, int) or k is None or id(k) in leaves for k in keys)
-            cells = [c.cell_contents for c in vjp.__closure__ or ()]
-            assert not any(isinstance(c, Tensor) for c in cells)
-        backward(tape, taped_loss(tape, y, ds.labels, split.train_ids, 0.0, params))
-        assert tape._records == []
-    finally:
-        gc.enable()
+            def relu(self, x):
+                out = super().relu(x)
+                refs["relu"] = weakref.ref(out.data)
+                return out
+
+        tape = Spy()
+        gc.disable()  # what is freed must be freed by reference counting alone
+        try:
+            y = taped_forward(tape, params, sample, norm, mcfg, train=True)
+            assert set(refs) == {"gather_rows", "scale_rows", "relu"}
+            assert refs["relu"]() is None
+            if weights == "unit":
+                # the scaled rows are the gathered array itself: no copy exists
+                assert refs["gather_rows"]() is not None
+                assert refs["scale_rows"]() is refs["gather_rows"]()
+            else:
+                # only the scaled copy is kept, for the routes' backward rules
+                assert refs["gather_rows"]() is None
+                assert refs["scale_rows"]() is not None
+            assert tape._records
+            leaves = set(map(id, params.named_tensors().values()))
+            for _, keys, vjp in tape._records:
+                assert all(isinstance(k, int) or k is None or id(k) in leaves for k in keys)
+                cells = [c.cell_contents for c in vjp.__closure__ or ()]
+                assert not any(isinstance(c, Tensor) for c in cells)
+            backward(tape, taped_loss(tape, y, ds.labels, split.train_ids, 0.0, params))
+            assert tape._records == []
+        finally:
+            gc.enable()
 
 
 def reference_training_step(params, sample, norm, mcfg, labels, train_ids, eta, dropout_seed,
@@ -177,6 +205,8 @@ def reference_training_step(params, sample, norm, mcfg, labels, train_ids, eta, 
 @pytest.mark.parametrize("extra", [
     dict(),
     dict(dropout=0.3, dropout_site="both", eta=0.01, hops=0),
+    dict(weights="mixed"),
+    dict(weights="mixed", dropout=0.3, dropout_site="both", eta=0.01, hops=0),
 ])
 def test_training_step_is_bit_equal_to_reference_tape(route, extra):
     ds, cfg, norm, sample, params = setup(seed=2, rho=2.5, **route, **extra)
@@ -189,6 +219,27 @@ def test_training_step_is_bit_equal_to_reference_tape(route, extra):
     assert list(grads) == list(ref_grads)  # same leaves, reached in the same order
     for t, g in grads.items():
         assert g.shape == t.shape and g.tobytes() == ref_grads[t].tobytes()
+
+
+def test_training_step_leaves_inputs_and_logits_unchanged():
+    # backward adds into gradient arrays in place; none of them may be an array
+    # the forward produced, a parameter, or another returned gradient
+    for weights in ("unit", "mixed"):
+        ds, cfg, norm, sample, params = setup(seed=4, alpha=0.5, weights=weights)
+        split = make_split(ds, 4)
+        mcfg = cfg.to_model_config()
+        before = {n: t.data.copy() for n, t in params.named_tensors().items()}
+        sample_before = (sample.ids.copy(), sample.weights.copy())
+        _, grads, y = training_step(params, sample, norm, mcfg, ds.labels, split.train_ids,
+                                    0.01)
+        assert y.tobytes() == model_forward(params, sample, norm, mcfg).y.tobytes()
+        for n, t in params.named_tensors().items():
+            assert t.data.tobytes() == before[n].tobytes(), n
+        assert np.array_equal(sample.ids, sample_before[0])
+        assert sample.weights.tobytes() == sample_before[1].tobytes()
+        arrays = list(grads.values()) + [t.data for t in params.named_tensors().values()] + [y]
+        for i, a in enumerate(arrays[:len(grads)]):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 def test_training_step_peak_memory():

@@ -20,14 +20,8 @@ from .data import (
     write_dataset,
 )
 from .graph import CsrMatrix, DegreeVector, build_adjacency, normalize_sym, propagate, spmm
-from .interaction import (
-    InteractionConfig,
-    artificial_propagate,
-    forward_all_nodes,
-    global_interaction,
-    local_biinteraction,
-)
-from .model import ModelConfig, ModelOutput, ModelParams, model_forward, predict
+from .interaction import artificial_propagate, forward_all_nodes, local_biinteraction
+from .model import ModelOutput, ModelParams, model_forward, predict
 from .oracle import (
     SpectralReport,
     TheoremCertificate,

@@ -33,6 +33,7 @@ from .training import (
     TrainingDiverged,
     default_grids,
     evaluate,
+    grid_cells,
     grid_search,
     held_out_metrics,
     train,
@@ -55,21 +56,6 @@ def _add_dataset_args(p: argparse.ArgumentParser, required: bool = True) -> None
     p.add_argument("--labels", required=required, help="labels.tsv path")
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    """One flag per TrainConfig field; unset flags fall back to --config, then defaults."""
-    for name, f in _CONFIG_FIELDS.items():
-        flag = "--" + name.replace("_", "-")
-        if f.type == "bool" or isinstance(f.default, bool):
-            p.add_argument(flag, default=None, type=_parse_bool, metavar="BOOL")
-        elif isinstance(f.default, int):
-            p.add_argument(flag, default=None, type=int)
-        elif isinstance(f.default, float):
-            p.add_argument(flag, default=None, type=float)
-        else:
-            p.add_argument(flag, default=None, type=str)
-    p.add_argument("--config", default=None, help="key=value file; explicit flags win")
-
-
 def _parse_bool(s: str) -> bool:
     low = s.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -79,15 +65,16 @@ def _parse_bool(s: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {s!r}")
 
 
-def _coerce(name: str, raw: str):
-    f = _CONFIG_FIELDS[name]
-    if isinstance(f.default, bool):
-        return _parse_bool(raw)
-    if isinstance(f.default, int):
-        return int(raw)
-    if isinstance(f.default, float):
-        return float(raw)
-    return raw
+# the parser of each TrainConfig field, by its annotation; flags and --config files share it
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+
+
+def _add_config_args(p: argparse.ArgumentParser) -> None:
+    """One flag per TrainConfig field; unset flags fall back to --config, then defaults."""
+    for name, f in _CONFIG_FIELDS.items():
+        p.add_argument("--" + name.replace("_", "-"), default=None, type=_PARSERS[f.type],
+                       metavar="BOOL" if f.type == "bool" else None)
+    p.add_argument("--config", default=None, help="key=value file; explicit flags win")
 
 
 def _read_config_file(path: str) -> dict:
@@ -102,7 +89,7 @@ def _read_config_file(path: str) -> dict:
             if not sep or key not in _CONFIG_FIELDS:
                 raise ValueError(f"{path}:{lineno}: expected <field>=<value>, got {line!r}")
             try:
-                out[key] = _coerce(key, value.strip())
+                out[key] = _PARSERS[_CONFIG_FIELDS[key].type](value.strip())
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
@@ -147,11 +134,9 @@ def _progress(record) -> None:
 def _stored_config(path: str, kind: str, config_dict) -> TrainConfig:
     """The run config a checkpoint or manifest stores, or DataError naming `path`."""
     try:
-        config = TrainConfig(**config_dict)
-        config.to_model_config()
+        return TrainConfig(**config_dict)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad {kind} config: {exc}") from None
-    return config
 
 
 def _read_manifest(path: str) -> tuple[TrainConfig, dict]:
@@ -251,7 +236,7 @@ def cmd_eval(args) -> int:
     norm_adj, _ = normalize_sym(adj)
     split = make_split(dataset, config.seed)
     sample = sample_features(dataset, config.n_f, config.seed)
-    output = model_forward(params, sample, norm_adj, config.to_model_config())
+    output = model_forward(params, sample, norm_adj, config)
     test_acc, test_f1 = evaluate(output, dataset.labels, split.test_ids)
     val_acc, val_f1 = evaluate(output, dataset.labels, split.val_ids)
     _emit(
@@ -271,7 +256,6 @@ def _parse_grid_list(spec: str, caster):
 
 def cmd_grid(args) -> int:
     config = _resolve_config(args)
-    dataset = load_dataset(args.edges, args.features, args.labels)
     grids = default_grids()
     for axis, caster in (
         ("learning_rate", float), ("eta", float), ("dropout", float),
@@ -280,6 +264,8 @@ def cmd_grid(args) -> int:
         spec = getattr(args, f"{axis}_grid")
         if spec is not None:
             grids[axis] = _parse_grid_list(spec, caster)
+    grid_cells(grids, config)  # every cell's config is checked before any file is read
+    dataset = load_dataset(args.edges, args.features, args.labels)
     result_rows, best_idx = grid_search(dataset, grids, config, jobs=args.jobs)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -296,7 +282,10 @@ def cmd_grid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n is not None and args.rho1 is not None:
+    if (args.n is None) != (args.rho1 is None):
+        missing = "--rho1" if args.rho1 is None else "--n"
+        raise ValueError(f"--n and --rho1 select one theorem cell together: {missing} is missing")
+    if args.n is not None:
         cert = certify_theorem(args.n, args.rho1, args.hops or 2)
         _emit(dataclasses.asdict(cert))
         return 0 if cert.passed else 1

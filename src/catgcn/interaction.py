@@ -15,38 +15,13 @@ primitives and the oracles call them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # autodiff imports the kernel formulas from this module
+if TYPE_CHECKING:  # autodiff and training (through model) import this module
     from .autodiff import Tape, Tensor
-
-
-@dataclass(frozen=True)
-class InteractionConfig:
-    rho: float  # probe coefficient: self-row weight in the artificial propagation
-    alpha: float  # fusion weight on the global route, in [0, 1]
-    n_f: int  # feature sample size per node
-    d_hidden: int
-    final_activation: str = "identity"  # activation on both fused projections
-    variant: str = "catgcn"  # "catgcn" | "meanpool" (linear mean-of-embeddings baseline)
-    deep_projection: bool = False  # optional hidden layer inside each projection
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.n_f < 1:
-            raise ValueError(f"n_f must be >= 1, got {self.n_f}")
-        if self.d_hidden < 1:
-            raise ValueError(f"d_hidden must be >= 1, got {self.d_hidden}")
-        if self.final_activation not in ("identity", "relu"):
-            raise ValueError(f"unknown final_activation {self.final_activation!r}")
-        if self.variant not in ("catgcn", "meanpool"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+    from .training import TrainConfig
 
 
 def local_biinteraction(e: np.ndarray, row_sum: np.ndarray | None = None) -> np.ndarray:
@@ -73,12 +48,6 @@ def artificial_propagate(e: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
-def global_interaction(e: np.ndarray, w_conv: np.ndarray, rho: float) -> np.ndarray:
-    """Mean pooling of relu(artificial_propagate(e, rho) @ w_conv) over feature rows."""
-    z = artificial_propagate(e, rho) @ w_conv
-    return np.maximum(z, 0.0).mean(axis=-2)
-
-
 def _taped_project(tape: Tape, h, w, b, w_hidden, b_hidden, activation: str):
     if w_hidden is not None:
         h = tape.relu(tape.add_bias(tape.matmul(h, w_hidden), b_hidden))
@@ -86,12 +55,13 @@ def _taped_project(tape: Tape, h, w, b, w_hidden, b_hidden, activation: str):
     return tape.relu(out) if activation == "relu" else out
 
 
-def forward_all_nodes(table: Tensor, params, config: InteractionConfig, sample, tape: Tape,
+def forward_all_nodes(table: Tensor, params, config: TrainConfig, sample, tape: Tape,
                       dropout) -> Tensor:
     """Record the initial representations H (N x C) of every node on `tape`.
 
     `table` is the embedding table; `params` holds the projection tensors
-    (w_conv, w_g, b_g, w_l, b_l and, with deep_projection, the hidden pairs).
+    (w_conv, w_g, b_g, w_l, b_l and, with deep_projection, the hidden pairs);
+    of the run `config` it reads variant, alpha, rho and final_activation.
     The table and the sample stay the first and fourth arguments because the
     traced benchmark (`perfbench/child.py`) reads them there to count the
     gathered values.

@@ -12,29 +12,17 @@ taped forward instead of running `model_forward` after every update.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward, softmax_rows
 from .graph import CsrMatrix
-from .interaction import InteractionConfig, forward_all_nodes
+from .interaction import forward_all_nodes
 from .rng import DROPOUT, stream_rng
 
-
-@dataclass(frozen=True)
-class ModelConfig:
-    interaction: InteractionConfig
-    hops: int = 2
-    dropout: float = 0.0
-    dropout_site: str = "embedding"  # embedding | projections | both
-
-    def __post_init__(self):
-        if self.hops < 0:
-            raise ValueError(f"hops must be >= 0, got {self.hops}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.dropout_site not in ("embedding", "projections", "both"):
-            raise ValueError(f"unknown dropout_site {self.dropout_site!r}")
+if TYPE_CHECKING:  # training imports this module
+    from .training import TrainConfig
 
 
 @dataclass
@@ -84,7 +72,7 @@ def dropout_mask(shape, rate: float, seed: int, epoch: int, site_idx: int = 0) -
     return keep / (1.0 - rate)
 
 
-def _dropout_masks(config: ModelConfig, seed: int, epoch: int):
+def _dropout_masks(config: TrainConfig, seed: int, epoch: int):
     """The `dropout(site, shape)` callable of `forward_all_nodes`, or None without dropout."""
     if config.dropout <= 0.0:
         return None
@@ -103,7 +91,7 @@ def taped_forward(
     params: ModelParams,
     sample,
     norm_adj: CsrMatrix,
-    config: ModelConfig,
+    config: TrainConfig,
     dropout_seed: int = 0,
     epoch: int = 0,
     train: bool = True,
@@ -113,12 +101,12 @@ def taped_forward(
     Dropout applies only with `train`, its masks drawn from (dropout_seed, epoch).
     """
     dropout = _dropout_masks(config, dropout_seed, epoch) if train else None
-    h = forward_all_nodes(params.embedding, params, config.interaction, sample, tape, dropout)
+    h = forward_all_nodes(params.embedding, params, config, sample, tape, dropout)
     return tape.sparse_propagate(norm_adj, h, config.hops)
 
 
 def model_forward(params: ModelParams, sample, norm_adj: CsrMatrix,
-                  config: ModelConfig) -> ModelOutput:
+                  config: TrainConfig) -> ModelOutput:
     """Evaluation forward: `taped_forward` without dropout on the parameter
     arrays wrapped as constant tensors, so the tape records nothing and keeps
     no intermediate alive."""

@@ -13,9 +13,7 @@ import numpy as np
 from .autodiff import Tensor, masked_ce_mean, softmax_rows
 from .data import RawDataset, make_split, sample_features
 from .graph import build_adjacency, normalize_sym
-from .interaction import InteractionConfig
 from .model import (
-    ModelConfig,
     ModelOutput,
     ModelParams,
     model_forward,
@@ -27,28 +25,37 @@ from .rng import XAVIER, derive_cell_seed, stream_rng
 
 # the values each annotated TrainConfig field type accepts; a bool only where annotated bool
 _FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "bool": bool, "str": str}
+_CHOICES = {
+    "monitor": ("macro_f1", "accuracy", "loss"),
+    "final_activation": ("identity", "relu"),
+    "variant": ("catgcn", "meanpool"),
+    "dropout_site": ("embedding", "projections", "both"),
+}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The one run config: optimization, model and interaction settings, all
+    checked here when it is built."""
+
     learning_rate: float = 0.01
     eta: float = 0.0  # L2 penalty on all trainable tensors
     dropout: float = 0.0
-    alpha: float = 0.5  # fusion weight on the global route
-    rho: float = 1.0  # probe coefficient
+    alpha: float = 0.5  # fusion weight on the global route, in [0, 1]
+    rho: float = 1.0  # probe coefficient: self-row weight in the artificial propagation
     hops: int = 2
-    n_f: int = 10
+    n_f: int = 10  # feature sample size per node
     d_emb: int = 64
     d_hidden: int = 64
     max_epochs: int = 500
     patience: int = 10
     seed: int = 0
     monitor: str = "macro_f1"  # macro_f1 | accuracy | loss (validation)
-    final_activation: str = "identity"
-    dropout_site: str = "embedding"
+    final_activation: str = "identity"  # activation on both fused projections
+    dropout_site: str = "embedding"  # embedding | projections | both
     resample_per_epoch: bool = False
-    variant: str = "catgcn"
-    deep_projection: bool = False
+    variant: str = "catgcn"  # catgcn | meanpool (linear mean-of-embeddings baseline)
+    deep_projection: bool = False  # optional hidden layer inside each projection
 
     def __post_init__(self):
         for f in fields(self):
@@ -66,24 +73,16 @@ class TrainConfig:
             raise ValueError("learning_rate and eta must be >= 0")
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("max_epochs and patience must be >= 1")
-        if self.monitor not in ("macro_f1", "accuracy", "loss"):
-            raise ValueError(f"unknown monitor {self.monitor!r}")
-
-    def to_model_config(self) -> ModelConfig:
-        return ModelConfig(
-            interaction=InteractionConfig(
-                rho=self.rho,
-                alpha=self.alpha,
-                n_f=self.n_f,
-                d_hidden=self.d_hidden,
-                final_activation=self.final_activation,
-                variant=self.variant,
-                deep_projection=self.deep_projection,
-            ),
-            hops=self.hops,
-            dropout=self.dropout,
-            dropout_site=self.dropout_site,
-        )
+        for name in ("rho", "hops", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
 
 
 @dataclass
@@ -275,7 +274,6 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
     sample = sample_features(dataset, config.n_f, config.seed)
     params = xavier_init(dataset.num_features, dataset.num_classes, config)
     state = init_adam(params)
-    mcfg = config.to_model_config()
     labels = dataset.labels
     reuse_taped = config.dropout == 0.0 and not config.resample_per_epoch
 
@@ -318,7 +316,7 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
                 dataset, config.n_f, derive_cell_seed(config.seed, epoch)
             )
         loss_value, grads, logits = training_step(
-            params, epoch_sample, norm_adj, mcfg, labels, split.train_ids,
+            params, epoch_sample, norm_adj, config, labels, split.train_ids,
             config.eta, dropout_seed=config.seed, epoch=epoch,
         )
         # close the previous epoch first: if it stops training, this step ran
@@ -331,14 +329,14 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
         pending = (epoch, loss_value, time.monotonic() - t0)
         if not reuse_taped:
             scoring_start = time.monotonic()
-            logits = model_forward(params, sample, norm_adj, mcfg).y
+            logits = model_forward(params, sample, norm_adj, config).y
             if close_epoch(*pending, scoring_start, logits):
                 break
             pending = None
     else:
         if pending is not None:  # the last update has no next step to score it
             scoring_start = time.monotonic()
-            logits = model_forward(params, sample, norm_adj, mcfg).y
+            logits = model_forward(params, sample, norm_adj, config).y
             close_epoch(*pending, scoring_start, logits)
 
     return TrainResult(
@@ -364,8 +362,7 @@ def held_out_metrics(result: TrainResult, dataset: RawDataset) -> dict:
     """
     logits = result.val_logits
     if logits is None:
-        mcfg = result.config.to_model_config()
-        logits = model_forward(result.params, result.sample, result.norm_adj, mcfg).y
+        logits = model_forward(result.params, result.sample, result.norm_adj, result.config).y
     output = _logit_output(logits)
     acc, f1 = evaluate(output, dataset.labels, result.split.test_ids)
     val_acc, val_f1 = evaluate(output, dataset.labels, result.split.val_ids)

@@ -15,7 +15,7 @@ import numpy as np
 
 from catgcn.autodiff import masked_ce_mean, softmax_rows
 from catgcn.graph import propagate
-from catgcn.interaction import global_interaction, local_biinteraction
+from catgcn.interaction import artificial_propagate, local_biinteraction
 from catgcn.model import ModelOutput, dropout_mask
 
 
@@ -44,6 +44,12 @@ def interaction_view(params) -> InteractionParams:
         w_conv=params.w_conv.data, w_g=params.w_g.data, b_g=params.b_g.data,
         w_l=params.w_l.data, b_l=params.b_l.data, **opt,
     )
+
+
+def global_interaction(e: np.ndarray, w_conv: np.ndarray, rho: float) -> np.ndarray:
+    """Mean pooling of relu(artificial_propagate(e, rho) @ w_conv) over feature rows."""
+    z = artificial_propagate(e, rho) @ w_conv
+    return np.maximum(z, 0.0).mean(axis=-2)
 
 
 def embed(table: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -98,16 +104,15 @@ def model_forward(params, sample, norm_adj, config, mode: str = "eval",
     """Pure-numpy forward. Train mode applies dropout; eval never does."""
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    icfg = config.interaction
     if mode == "train" and config.dropout > 0.0:
         table = params.embedding.data
         e = table[sample.ids] * sample.weights[..., None]
         masks = _masks_for(e.shape, config, dropout_seed, epoch)
         if masks["embedding"] is not None:
             e = e * masks["embedding"]
-        h = _fused_h_numpy(e, interaction_view(params), icfg, masks)
+        h = _fused_h_numpy(e, interaction_view(params), config, masks)
     else:
-        h = forward_all_nodes(params.embedding.data, interaction_view(params), icfg, sample)
+        h = forward_all_nodes(params.embedding.data, interaction_view(params), config, sample)
     y = propagate(norm_adj, h, config.hops)
     return ModelOutput(y=y, probs=softmax_rows(y))
 
@@ -132,22 +137,22 @@ def _proj_mask(masks, shape, which: int):
     return dropout_mask(shape, rate, seed, epoch, site_idx=1 + which)
 
 
-def _fused_h_numpy(e, iparams, icfg, masks):
+def _fused_h_numpy(e, iparams, config, masks):
     """Numpy mirror of the taped route composition with dropout masks applied."""
-    if icfg.variant == "meanpool":
+    if config.variant == "meanpool":
         h_l = e.mean(axis=-2)
         if masks["proj"] is not None:
             h_l = h_l * _proj_mask(masks, h_l.shape, 0)
-        return fuse(h_l, None, iparams, replace(icfg, alpha=0.0))
+        return fuse(h_l, None, iparams, replace(config, alpha=0.0))
     h_l = local_biinteraction(e)
     if masks["proj"] is not None:
         h_l = h_l * _proj_mask(masks, h_l.shape, 0)
     h_g = None
-    if icfg.alpha > 0.0:
-        h_g = global_interaction(e, iparams.w_conv, icfg.rho)
+    if config.alpha > 0.0:
+        h_g = global_interaction(e, iparams.w_conv, config.rho)
         if masks["proj"] is not None:
             h_g = h_g * _proj_mask(masks, h_g.shape, 1)
-    return fuse(h_l, h_g, iparams, icfg)
+    return fuse(h_l, h_g, iparams, config)
 
 
 def loss(output: ModelOutput, labels, mask, eta: float, params) -> float:

@@ -135,11 +135,10 @@ def test_criterion_04_gradient_checks():
         sample = sample_features(ds, cfg.n_f, seed=i)
         params = xavier_init(ds.num_features, ds.num_classes, cfg)
         split = make_split(ds, i)
-        mcfg = cfg.to_model_config()
 
-        def f(params=params, sample=sample, norm=norm, mcfg=mcfg, split=split, cfg=cfg, ds=ds):
+        def f(params=params, sample=sample, norm=norm, split=split, cfg=cfg, ds=ds):
             tape = Tape()
-            y = taped_forward(tape, params, sample, norm, mcfg)
+            y = taped_forward(tape, params, sample, norm, cfg)
             return tape, taped_loss(tape, y, ds.labels, split.train_ids, cfg.eta, params)
 
         worst_model = max(worst_model, finite_diff_check(f, params.named_tensors().values(), step=1e-5))

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from catgcn.cli import main
+from catgcn.cli import _resolve_config, build_parser, main
 from catgcn.training import TrainConfig
 
 
@@ -319,18 +319,71 @@ def test_checkpoint_that_does_not_fit_the_dataset_is_data_error(
     assert f"{small_checkpoint}: {message}" in err
 
 
-@pytest.mark.parametrize("flag, value, field", [
+@pytest.mark.parametrize("flag, value, expected", [
     ("--learning-rate", "nan", "learning_rate"),
     ("--dropout", "inf", "dropout"),
     ("--d-emb", "0", "d_emb"),
     ("--n-f", "0", "n_f"),
+    ("--alpha", "1.5", "alpha must lie in [0, 1], got 1.5"),
+    ("--hops", "-1", "hops must be >= 0, got -1"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--variant", "gcn", "unknown variant 'gcn'"),
+    ("--dropout-site", "input", "unknown dropout_site 'input'"),
 ])
-def test_bad_config_value_is_usage_error_before_loading(tmp_path, capsys, flag, value, field):
+def test_bad_config_value_is_usage_error_before_loading(tmp_path, capsys, flag, value, expected):
     # the dataset paths do not exist: a config checked first exits 2, not 3
     code, _, err = run(capsys, "train", "--edges", "/no/e", "--features", "/no/f",
                        "--labels", "/no/l", flag, value, "--out-dir", str(tmp_path))
     assert code == 2
-    assert field in err
+    assert expected in err
+
+
+def test_grid_with_a_bad_cell_is_usage_error_before_training(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("catgcn.training.train", lambda *a, **k: calls.append(a))
+    # the dataset paths do not exist: every cell is checked before any file is read
+    code, _, err = run(capsys, "grid", "--edges", "/no/e", "--features", "/no/f",
+                       "--labels", "/no/l", "--alpha-grid", "0.5,0.5,0.5,1.5",
+                       "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "error: alpha must lie in [0, 1], got 1.5" in err
+    assert calls == []
+    assert not (tmp_path / "grid.json").exists()
+
+
+# every field off its default
+_OFF_DEFAULT = dict(
+    learning_rate=0.05, eta=0.001, dropout=0.25, alpha=0.75, rho=3.5, hops=3, n_f=7,
+    d_emb=12, d_hidden=9, max_epochs=40, patience=4, seed=17, monitor="loss",
+    final_activation="relu", dropout_site="both", resample_per_epoch=True,
+    variant="meanpool", deep_projection=True,
+)
+
+
+def test_config_round_trips_through_file_and_flags(tmp_path):
+    config = TrainConfig(**_OFF_DEFAULT)
+    defaults = TrainConfig()
+    assert all(getattr(config, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(TrainConfig))
+    stored = dataclasses.asdict(config)
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k}={v}\n" for k, v in stored.items()))
+    flags = [a for k, v in stored.items() for a in ("--" + k.replace("_", "-"), str(v))]
+    parser = build_parser()
+    for command in ("train", "grid"):
+        data = ["--edges", "e", "--features", "f", "--labels", "l"]
+        from_file = parser.parse_args([command, *data, "--config", str(path)])
+        from_flags = parser.parse_args([command, *data, *flags])
+        assert _resolve_config(from_file) == config
+        assert _resolve_config(from_flags) == config
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_every_config_field_has_exactly_one_flag(command):
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    for f in dataclasses.fields(TrainConfig):
+        actions = [a for a in sub._actions if a.dest == f.name]
+        assert [a.option_strings for a in actions] == [["--" + f.name.replace("_", "-")]]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -364,6 +417,17 @@ def test_verify_single_theorem_cell(capsys):
     cert = json.loads(out)
     assert cert["rho2"] == pytest.approx(4.0 / 7.0)
     assert cert["passed"] is True
+
+
+@pytest.mark.parametrize("given, missing", [
+    (["--n", "3"], "--rho1"),
+    (["--rho1", "2.0"], "--n"),
+])
+def test_verify_theorem_cell_needs_both_flags(capsys, given, missing):
+    code, out, err = run(capsys, "verify", *given)
+    assert code == 2
+    assert out == ""
+    assert f"{missing} is missing" in err
 
 
 def test_verify_spectrum_report(capsys):

@@ -4,16 +4,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catgcn.autodiff import Tape, Tensor
-from catgcn.interaction import (
-    InteractionConfig,
-    artificial_propagate,
-    forward_all_nodes,
-    global_interaction,
-    local_biinteraction,
-)
+from catgcn.interaction import artificial_propagate, forward_all_nodes, local_biinteraction
 from catgcn.oracle import biinteraction_pairwise, probe_matrix
+from catgcn.training import TrainConfig
+from forward_oracle import global_interaction
 
 
 def make_params(rng, d_emb, d_hidden, c):
@@ -50,7 +48,7 @@ def test_embed_gathers_and_scales():
                              weights=np.array([[1.0, 2.0], [0.5, 1.0]]))
     params = SimpleNamespace(w_l=np.eye(3), b_l=np.zeros(3),
                              w_l_hidden=None, b_l_hidden=None)
-    cfg = InteractionConfig(rho=1.0, alpha=0.0, n_f=2, d_hidden=3, variant="meanpool")
+    cfg = TrainConfig(rho=1.0, alpha=0.0, n_f=2, d_hidden=3, variant="meanpool")
     h = forward(table, params, cfg, sample)
     assert np.array_equal(h[0], (table[0] * 1.0 + table[2] * 2.0) / 2)
     assert np.array_equal(h[1], (table[3] * 0.5 + table[3] * 1.0) / 2)
@@ -131,8 +129,8 @@ def test_fuse_alpha_endpoints_skip_dead_route():
     e = embedded(table, sample)
     h_l = local_biinteraction(e)
     h_g = global_interaction(e, params.w_conv, 1.0)
-    cfg0 = InteractionConfig(rho=1.0, alpha=0.0, n_f=4, d_hidden=6)
-    cfg1 = InteractionConfig(rho=1.0, alpha=1.0, n_f=4, d_hidden=6)
+    cfg0 = TrainConfig(rho=1.0, alpha=0.0, n_f=4, d_hidden=6)
+    cfg1 = TrainConfig(rho=1.0, alpha=1.0, n_f=4, d_hidden=6)
     # alpha=0 must not read the global route at all; alpha=1 must not read the local one
     dead_g = SimpleNamespace(**{**vars(params), "w_conv": np.full((8, 6), np.nan),
                                 "w_g": np.full((6, 3), np.nan)})
@@ -149,7 +147,7 @@ def test_fuse_interior_is_convex_combination():
     e = embedded(table, sample)
     h_l = local_biinteraction(e)
     h_g = global_interaction(e, params.w_conv, 1.0)
-    cfg = InteractionConfig(rho=1.0, alpha=0.3, n_f=4, d_hidden=6)
+    cfg = TrainConfig(rho=1.0, alpha=0.3, n_f=4, d_hidden=6)
     expected = 0.3 * (h_g @ params.w_g + params.b_g) + 0.7 * (h_l @ params.w_l + params.b_l)
     assert np.abs(forward(table, params, cfg, sample) - expected).max() < 1e-14
 
@@ -160,20 +158,59 @@ def test_fuse_relu_final_activation():
     table = rng.normal(size=(6, 4))
     sample = make_sample(rng, 3, 4, 6)
     h_l = local_biinteraction(embedded(table, sample))
-    cfg = InteractionConfig(rho=0.0, alpha=0.0, n_f=4, d_hidden=4, final_activation="relu")
+    cfg = TrainConfig(rho=0.0, alpha=0.0, n_f=4, d_hidden=4, final_activation="relu")
     out = forward(table, params, cfg, sample)
     assert np.array_equal(out, np.maximum(h_l @ params.w_l + params.b_l, 0.0))
     assert (out == 0.0).any() and (out > 0.0).any()  # the relu acts on this case
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        InteractionConfig(rho=-1.0, alpha=0.5, n_f=4, d_hidden=4)
-    with pytest.raises(ValueError):
-        InteractionConfig(rho=0.0, alpha=1.5, n_f=4, d_hidden=4)
-    with pytest.raises(ValueError):
-        InteractionConfig(rho=0.0, alpha=0.5, n_f=0, d_hidden=4)
-    with pytest.raises(ValueError):
-        InteractionConfig(rho=0.0, alpha=0.5, n_f=4, d_hidden=4, final_activation="tanh")
-    with pytest.raises(ValueError):
-        InteractionConfig(rho=0.0, alpha=0.5, n_f=4, d_hidden=4, variant="gcn")
+    # the interaction settings are checked where the run config is built
+    for bad, message in [
+        (dict(rho=-1.0), "rho must be >= 0, got -1.0"),
+        (dict(alpha=1.5), r"alpha must lie in \[0, 1\], got 1.5"),
+        (dict(n_f=0), "n_f must be >= 1, got 0"),
+        (dict(final_activation="tanh"), "unknown final_activation 'tanh'"),
+        (dict(variant="gcn"), "unknown variant 'gcn'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**{"rho": 0.0, "alpha": 0.5, "n_f": 4, "d_hidden": 4, **bad})
+
+
+# --- metamorphic properties of the forward -----------------------------------
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(1, 6), n_f=st.integers(1, 8), d_emb=st.integers(1, 5),
+       alpha=st.sampled_from([0.0, 0.5, 1.0]), variant=st.sampled_from(["catgcn", "meanpool"]))
+def test_forward_ignores_the_order_of_sample_slots(seed, n, n_f, d_emb, alpha, variant):
+    # a node's sample is a bag: permuting its slots, ids and weights together,
+    # changes each row of H only by summation-order rounding
+    rng = np.random.default_rng(seed)
+    params = make_params(rng, d_emb, 3, 2)
+    table = rng.normal(size=(7, d_emb))
+    sample = make_sample(rng, n, n_f, 7)
+    perm = rng.permuted(np.tile(np.arange(n_f), (n, 1)), axis=1)
+    shuffled = SimpleNamespace(ids=np.take_along_axis(sample.ids, perm, axis=1),
+                               weights=np.take_along_axis(sample.weights, perm, axis=1))
+    cfg = TrainConfig(alpha=alpha, variant=variant, n_f=n_f, d_emb=d_emb, d_hidden=3)
+    h = forward(table, params, cfg, sample)
+    assert np.abs(forward(table, params, cfg, shuffled) - h).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(1, 8), d_emb=st.integers(1, 6),
+       scale=st.floats(1e-3, 1e3))
+def test_one_slot_has_no_pairwise_interaction(seed, n, d_emb, scale):
+    rng = np.random.default_rng(seed)
+    table = scale * rng.normal(size=(5, d_emb))
+    sample = make_sample(rng, n, 1, 5)
+    tape = Tape()
+    e = tape.scale_rows(tape.gather_rows(Tensor(table), sample.ids), sample.weights)
+    assert np.array_equal(tape.biinteraction(e).data, np.zeros((n, d_emb)))
+    # so the local route alone is its projection's bias, exactly
+    params = make_params(rng, d_emb, 3, 2)
+    cfg = TrainConfig(alpha=0.0, n_f=1, d_emb=d_emb, d_hidden=3)
+    assert np.array_equal(forward(table, params, cfg, sample), np.tile(params.b_l, (n, 1)))

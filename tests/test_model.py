@@ -52,7 +52,7 @@ def mixed_weights(sample, seed):
 
 def test_eval_forward_shapes():
     ds, cfg, norm, sample, params = setup()
-    out = model_forward(params, sample, norm, cfg.to_model_config())
+    out = model_forward(params, sample, norm, cfg)
     assert out.y.shape == (24, 3)
     assert out.probs.shape == (24, 3)
     assert np.allclose(out.probs.sum(axis=1), 1.0)
@@ -62,10 +62,10 @@ def test_taped_forward_matches_eval_bitwise():
     for alpha in (0.0, 0.3, 1.0):
         for hops in (0, 2):
             ds, cfg, norm, sample, params = setup(alpha=alpha, hops=hops)
-            out = model_forward(params, sample, norm, cfg.to_model_config())
+            out = model_forward(params, sample, norm, cfg)
             tape = Tape()
-            y = taped_forward(tape, params, sample, norm, cfg.to_model_config(), train=True)
-            ref = oracle.model_forward(params, sample, norm, cfg.to_model_config())
+            y = taped_forward(tape, params, sample, norm, cfg, train=True)
+            ref = oracle.model_forward(params, sample, norm, cfg)
             # no dropout configured: training pass must equal eval and the
             # numpy composition bit for bit
             assert np.array_equal(y.data, out.y)
@@ -78,11 +78,10 @@ def test_taped_forward_with_dropout_matches_numpy_mirror():
         for route in (dict(alpha=0.5), dict(alpha=0.0), dict(alpha=1.0),
                       dict(variant="meanpool"), dict(deep_projection=True)):
             ds, cfg, norm, sample, params = setup(dropout=0.4, dropout_site=site, **route)
-            mcfg = cfg.to_model_config()
             tape = Tape()
-            y = taped_forward(tape, params, sample, norm, mcfg, dropout_seed=3, epoch=5,
+            y = taped_forward(tape, params, sample, norm, cfg, dropout_seed=3, epoch=5,
                               train=True)
-            out = oracle.model_forward(params, sample, norm, mcfg, mode="train",
+            out = oracle.model_forward(params, sample, norm, cfg, mode="train",
                                        dropout_seed=3, epoch=5)
             assert np.array_equal(y.data, out.y), (site, route)
 
@@ -111,11 +110,10 @@ def test_dropout_rate_zero_is_identity_mask():
 
 def test_eval_mode_never_drops():
     ds, cfg, norm, sample, params = setup(dropout=0.9, dropout_site="both")
-    mcfg = cfg.to_model_config()
-    out = model_forward(params, sample, norm, mcfg)
-    undropped = taped_forward(Tape(), params, sample, norm, mcfg, dropout_seed=99, epoch=7,
+    out = model_forward(params, sample, norm, cfg)
+    undropped = taped_forward(Tape(), params, sample, norm, cfg, dropout_seed=99, epoch=7,
                               train=False)
-    dropped = taped_forward(Tape(), params, sample, norm, mcfg, dropout_seed=99, epoch=7,
+    dropped = taped_forward(Tape(), params, sample, norm, cfg, dropout_seed=99, epoch=7,
                             train=True)
     assert np.array_equal(out.y, undropped.data)
     assert not np.array_equal(out.y, dropped.data)
@@ -131,7 +129,7 @@ def test_model_forward_records_nothing(monkeypatch):
         return y
 
     monkeypatch.setattr(catgcn.model, "taped_forward", spy)
-    out = model_forward(params, sample, norm, cfg.to_model_config())
+    out = model_forward(params, sample, norm, cfg)
     [(tape, y)] = seen
     assert tape._records == [] and y.tape is None
     assert not y.requires_grad and not y.needs_grad
@@ -143,7 +141,6 @@ def test_tape_keeps_only_what_backward_reads():
     for weights in ("unit", "mixed"):
         ds, cfg, norm, sample, params = setup(alpha=0.5, weights=weights)
         split = make_split(ds, 0)
-        mcfg = cfg.to_model_config()
         refs = {}
 
         class Spy(Tape):
@@ -165,7 +162,7 @@ def test_tape_keeps_only_what_backward_reads():
         tape = Spy()
         gc.disable()  # what is freed must be freed by reference counting alone
         try:
-            y = taped_forward(tape, params, sample, norm, mcfg, train=True)
+            y = taped_forward(tape, params, sample, norm, cfg, train=True)
             assert set(refs) == {"gather_rows", "scale_rows", "relu"}
             assert refs["relu"]() is None
             if weights == "unit":
@@ -188,11 +185,11 @@ def test_tape_keeps_only_what_backward_reads():
             gc.enable()
 
 
-def reference_training_step(params, sample, norm, mcfg, labels, train_ids, eta, dropout_seed,
+def reference_training_step(params, sample, norm, cfg, labels, train_ids, eta, dropout_seed,
                             epoch):
     """`training_step` recorded and replayed on the reference tape."""
     tape = tape_oracle.Tape()
-    y = taped_forward(tape, params, sample, norm, mcfg, dropout_seed=dropout_seed, epoch=epoch,
+    y = taped_forward(tape, params, sample, norm, cfg, dropout_seed=dropout_seed, epoch=epoch,
                       train=True)
     lt = taped_loss(tape, y, labels, train_ids, eta, params)
     return lt.item(), tape_oracle.backward(tape, lt), y.data
@@ -211,7 +208,7 @@ def reference_training_step(params, sample, norm, mcfg, labels, train_ids, eta, 
 def test_training_step_is_bit_equal_to_reference_tape(route, extra):
     ds, cfg, norm, sample, params = setup(seed=2, rho=2.5, **route, **extra)
     split = make_split(ds, 2)
-    args = (params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, cfg.eta)
+    args = (params, sample, norm, cfg, ds.labels, split.train_ids, cfg.eta)
     loss, grads, y = training_step(*args, dropout_seed=3, epoch=5)
     ref_loss, ref_grads, ref_y = reference_training_step(*args, dropout_seed=3, epoch=5)
     assert loss == ref_loss
@@ -227,12 +224,11 @@ def test_training_step_leaves_inputs_and_logits_unchanged():
     for weights in ("unit", "mixed"):
         ds, cfg, norm, sample, params = setup(seed=4, alpha=0.5, weights=weights)
         split = make_split(ds, 4)
-        mcfg = cfg.to_model_config()
         before = {n: t.data.copy() for n, t in params.named_tensors().items()}
         sample_before = (sample.ids.copy(), sample.weights.copy())
-        _, grads, y = training_step(params, sample, norm, mcfg, ds.labels, split.train_ids,
+        _, grads, y = training_step(params, sample, norm, cfg, ds.labels, split.train_ids,
                                     0.01)
-        assert y.tobytes() == model_forward(params, sample, norm, mcfg).y.tobytes()
+        assert y.tobytes() == model_forward(params, sample, norm, cfg).y.tobytes()
         for n, t in params.named_tensors().items():
             assert t.data.tobytes() == before[n].tobytes(), n
         assert np.array_equal(sample.ids, sample_before[0])
@@ -252,7 +248,7 @@ def test_training_step_peak_memory():
     sample = sample_features(ds, n_f, 1)
     params = xavier_init(ds.num_features, ds.num_classes, cfg)
     split = make_split(ds, 1)
-    args = (params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, 0.0)
+    args = (params, sample, norm, cfg, ds.labels, split.train_ids, 0.0)
     training_step(*args)  # warm up lazy imports and caches outside the measurement
     tracemalloc.start()
     try:
@@ -266,13 +262,12 @@ def test_training_step_peak_memory():
 
 def test_loss_reporting_matches_taped():
     ds, cfg, norm, sample, params = setup(alpha=0.4)
-    mcfg = cfg.to_model_config()
     split = make_split(ds, 0)
     for eta in (0.0, 0.01):
         tape = Tape()
-        y = taped_forward(tape, params, sample, norm, mcfg, train=True)
+        y = taped_forward(tape, params, sample, norm, cfg, train=True)
         lt = taped_loss(tape, y, ds.labels, split.train_ids, eta, params)
-        out = oracle.model_forward(params, sample, norm, mcfg, mode="eval")
+        out = oracle.model_forward(params, sample, norm, cfg, mode="eval")
         assert oracle.loss(out, ds.labels, split.train_ids, eta, params) == pytest.approx(
             lt.item(), abs=1e-15
         )
@@ -282,10 +277,10 @@ def test_regularizer_covers_every_trainable_tensor():
     ds, cfg, norm, sample, params = setup(alpha=0.5)
     split = make_split(ds, 0)
     _, grads_without, _ = training_step(
-        params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, eta=0.0
+        params, sample, norm, cfg, ds.labels, split.train_ids, eta=0.0
     )
     _, grads_with, _ = training_step(
-        params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, eta=0.1
+        params, sample, norm, cfg, ds.labels, split.train_ids, eta=0.1
     )
     for name, t in params.named_tensors().items():
         g0 = grads_without.get(t, np.zeros_like(t.data))
@@ -303,13 +298,13 @@ def test_alpha_zero_ignores_global_parameters():
     ds, cfg, norm, sample, params = setup(alpha=0.0)
     split = make_split(ds, 0)
     _, grads, _ = training_step(
-        params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, eta=0.0
+        params, sample, norm, cfg, ds.labels, split.train_ids, eta=0.0
     )
     assert params.w_conv not in grads
     assert params.w_g not in grads
-    out1 = model_forward(params, sample, norm, cfg.to_model_config())
+    out1 = model_forward(params, sample, norm, cfg)
     params.w_conv.data += 100.0  # dead route: output must not move
-    out2 = model_forward(params, sample, norm, cfg.to_model_config())
+    out2 = model_forward(params, sample, norm, cfg)
     assert np.array_equal(out1.y, out2.y)
 
 
@@ -317,7 +312,7 @@ def test_alpha_one_ignores_local_parameters():
     ds, cfg, norm, sample, params = setup(alpha=1.0)
     split = make_split(ds, 0)
     _, grads, _ = training_step(
-        params, sample, norm, cfg.to_model_config(), ds.labels, split.train_ids, eta=0.0
+        params, sample, norm, cfg, ds.labels, split.train_ids, eta=0.0
     )
     assert params.w_l not in grads and params.b_l not in grads
     assert params.w_conv in grads
@@ -326,11 +321,10 @@ def test_alpha_one_ignores_local_parameters():
 def test_whole_model_gradient_small():
     ds, cfg, norm, sample, params = setup(alpha=0.5, hops=2)
     split = make_split(ds, 0)
-    mcfg = cfg.to_model_config()
 
     def f():
         tape = Tape()
-        y = taped_forward(tape, params, sample, norm, mcfg)
+        y = taped_forward(tape, params, sample, norm, cfg)
         return tape, taped_loss(tape, y, ds.labels, split.train_ids, 0.001, params)
 
     assert finite_diff_check(f, params.named_tensors().values(), step=1e-5) <= 1e-4
@@ -338,7 +332,7 @@ def test_whole_model_gradient_small():
 
 def test_meanpool_variant_uses_mean_embedding():
     ds, cfg, norm, sample, params = setup(variant="meanpool", hops=0)
-    out = model_forward(params, sample, norm, cfg.to_model_config())
+    out = model_forward(params, sample, norm, cfg)
     e = params.embedding.data[sample.ids] * sample.weights[..., None]
     expected = e.mean(axis=1) @ params.w_l.data + params.b_l.data
     assert np.abs(out.y - expected).max() < 1e-14
@@ -347,12 +341,12 @@ def test_meanpool_variant_uses_mean_embedding():
 def test_deep_projection_adds_hidden_layer():
     ds, cfg, norm, sample, params = setup(deep_projection=True, alpha=0.5)
     assert params.w_l_hidden is not None
-    out = model_forward(params, sample, norm, cfg.to_model_config())
+    out = model_forward(params, sample, norm, cfg)
     assert out.y.shape == (24, 3)
     tape = Tape()
-    y = taped_forward(tape, params, sample, norm, cfg.to_model_config(), train=True)
+    y = taped_forward(tape, params, sample, norm, cfg, train=True)
     assert np.array_equal(y.data, out.y)
-    ref = oracle.model_forward(params, sample, norm, cfg.to_model_config(), mode="eval")
+    ref = oracle.model_forward(params, sample, norm, cfg, mode="eval")
     assert np.array_equal(out.y, ref.y)
 
 

@@ -177,7 +177,7 @@ def test_train_returns_best_epoch_parameters():
     from catgcn.model import model_forward
     from catgcn.training import evaluate
 
-    out = model_forward(result.params, result.sample, result.norm_adj, cfg.to_model_config())
+    out = model_forward(result.params, result.sample, result.norm_adj, cfg)
     _, val_f1 = evaluate(out, ds.labels, result.split.val_ids)
     best_logged = max(r.val_macro_f1 for r in result.records)
     assert val_f1 == pytest.approx(best_logged, abs=1e-12)
@@ -245,7 +245,23 @@ def test_config_rejects_wrong_types(field, value):
 
 def test_config_takes_ints_for_floats():
     cfg = TrainConfig(learning_rate=1, eta=0, dropout=0, alpha=1, rho=2)
-    assert cfg.to_model_config().interaction.rho == 2
+    assert (cfg.alpha, cfg.rho) == (1, 2)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(d_hidden=0), "d_hidden must be >= 1, got 0"),
+    (dict(hops=-1), "hops must be >= 0, got -1"),
+    (dict(dropout=1.0), r"dropout must lie in \[0, 1\), got 1.0"),
+    (dict(dropout=-0.1), r"dropout must lie in \[0, 1\), got -0.1"),
+    (dict(dropout_site="input"), "unknown dropout_site 'input'"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(alpha=1.5, dropout=1.0, hops=-1, rho=-2.0, variant="gcn"),
+     "rho must be >= 0, got -2.0"),
+])
+def test_config_rejects_out_of_range_values(bad, message):
+    # every range and choice is checked when the config is built, not when a run reads it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainConfig(**bad)
 
 
 def test_train_is_deterministic():
@@ -298,6 +314,15 @@ def test_grid_cells_rejects_unknown_axis():
         grid_cells({"momentum": [0.9]}, TrainConfig())
 
 
+def test_grid_with_a_bad_cell_trains_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr("catgcn.training.train", lambda *a, **k: calls.append(a))
+    ds = generate_synthetic("homophily", 60, 30, 3, 5, 0.15, 0.02, seed=3)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
+        grid_search(ds, {"alpha": [0.5, 0.5, 0.5, 1.5]}, TrainConfig(max_epochs=2), jobs=1)
+    assert calls == []
+
+
 def test_grid_search_identical_across_jobs():
     ds = generate_synthetic("homophily", 60, 30, 3, 5, 0.15, 0.02, seed=3)
     grids = {"learning_rate": [0.1, 0.01], "alpha": [0.0, 0.5]}
@@ -341,7 +366,6 @@ def reference_train(config: TrainConfig, dataset):
     sample = sample_features(dataset, config.n_f, config.seed)
     params = xavier_init(dataset.num_features, dataset.num_classes, config)
     state = init_adam(params)
-    mcfg = config.to_model_config()
     labels = dataset.labels
     stopper = EarlyStopper(config.patience)
     records = []
@@ -352,13 +376,13 @@ def reference_train(config: TrainConfig, dataset):
             epoch_sample = sample_features(dataset, config.n_f,
                                            derive_cell_seed(config.seed, epoch))
         loss_value, grads, _ = training_step(
-            params, epoch_sample, norm_adj, mcfg, labels, split.train_ids,
+            params, epoch_sample, norm_adj, config, labels, split.train_ids,
             config.eta, dropout_seed=config.seed, epoch=epoch,
         )
         if not np.isfinite(loss_value):
             raise TrainingDiverged(epoch, records)
         adam_step(params, grads, state, config.learning_rate)
-        output = model_forward(params, sample, norm_adj, mcfg)
+        output = model_forward(params, sample, norm_adj, config)
         val_acc, val_f1 = evaluate(output, labels, split.val_ids)
         records.append(EpochRecord(epoch, loss_value, val_acc, val_f1, wall_time_s=0.0))
         if stopper.update(_monitor_value(config, output, labels, split.val_ids, val_acc, val_f1),
@@ -366,7 +390,7 @@ def reference_train(config: TrainConfig, dataset):
             best_params = params.copy()
         if stopper.should_stop(epoch):
             break
-    output = model_forward(best_params, sample, norm_adj, mcfg)
+    output = model_forward(best_params, sample, norm_adj, config)
     acc, f1 = evaluate(output, labels, split.test_ids)
     val_acc, val_f1 = evaluate(output, labels, split.val_ids)
     held_out = {"test_accuracy": acc, "test_macro_f1": f1, "val_accuracy": val_acc,

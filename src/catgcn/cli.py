@@ -285,12 +285,17 @@ def cmd_verify(args) -> int:
     if (args.n is None) != (args.rho1 is None):
         missing = "--rho1" if args.rho1 is None else "--n"
         raise ValueError(f"--n and --rho1 select one theorem cell together: {missing} is missing")
+    if args.hops is not None and args.n is None:
+        raise ValueError("--hops applies to one theorem cell: --n and --rho1 are missing")
+    if args.spectrum_rho is not None and args.spectrum_n is None:
+        raise ValueError("--spectrum-rho applies to the spectrum check: --spectrum-n is missing")
     if args.n is not None:
-        cert = certify_theorem(args.n, args.rho1, args.hops or 2)
+        cert = certify_theorem(args.n, args.rho1, 2 if args.hops is None else args.hops)
         _emit(dataclasses.asdict(cert))
         return 0 if cert.passed else 1
     if args.spectrum_n is not None:
-        report = spectrum_check(args.spectrum_n, args.spectrum_rho)
+        rho = 0.0 if args.spectrum_rho is None else args.spectrum_rho
+        report = spectrum_check(args.spectrum_n, rho)
         _emit(dataclasses.asdict(report))
         return 0 if report.passed else 1
     report = run_verification(
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--rho1", type=float, default=None)
     p_verify.add_argument("--hops", type=int, default=None)
     p_verify.add_argument("--spectrum-n", type=int, default=None)
-    p_verify.add_argument("--spectrum-rho", type=float, default=0.0)
+    p_verify.add_argument("--spectrum-rho", type=float, default=None)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")

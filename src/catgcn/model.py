@@ -7,6 +7,13 @@ runs it without dropout on the same parameters wrapped as constants, so the
 tape records nothing. With dropout off the two therefore compute the same
 numbers, and training scores validation from the logits of the next step's
 taped forward instead of running `model_forward` after every update.
+
+Since nothing is recorded, `model_forward` runs the per-node interaction stage
+(gather to pooled rows) over cache-sized blocks of nodes, so its memory is set
+by the (N, d) pooled rows rather than by (N, n_f, d) arrays; the bits are those
+of one pass, as every op in that stage is row-independent. The projections,
+fusion and propagation still run once on all N rows: a 2-D gemm's last bits
+depend on how its rows are split, and propagation mixes nodes anyway.
 """
 
 from __future__ import annotations
@@ -108,8 +115,8 @@ def taped_forward(
 def model_forward(params: ModelParams, sample, norm_adj: CsrMatrix,
                   config: TrainConfig) -> ModelOutput:
     """Evaluation forward: `taped_forward` without dropout on the parameter
-    arrays wrapped as constant tensors, so the tape records nothing and keeps
-    no intermediate alive."""
+    arrays wrapped as constant tensors, so the tape records nothing, keeps no
+    intermediate alive, and the per-node stage runs in blocks of nodes."""
     constants = ModelParams(**{n: Tensor(t.data) for n, t in params.named_tensors().items()})
     y = taped_forward(Tape(), constants, sample, norm_adj, config, train=False).data
     return ModelOutput(y=y, probs=softmax_rows(y))

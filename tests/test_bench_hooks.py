@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from catgcn.cli import main
+from catgcn.interaction import NODE_BLOCK_BYTES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = os.path.join(ROOT, "perfbench", "child.py")
@@ -49,3 +50,23 @@ def test_traced_train_and_eval_record_the_hooked_counts(dataset_args, tmp_path):
     assert train["counts"]["model.training_step.peak_alloc_mb"] > 0
     assert [m[0] for m in train["marks"]].count("epoch_end") == 2
     assert [m[0] for m in evaluate["marks"]][:2] == ["forward_start", "forward_end"]
+
+
+def test_traced_eval_counts_every_node_block_once(tmp_path):
+    # large enough that the eval forward runs its per-node stage in several
+    # blocks; the counter must still see all nodes, from one forward_all_nodes call
+    nodes, n_f, d = 1500, 10, 12
+    assert nodes * n_f * d * 8 > NODE_BLOCK_BYTES
+    data = tmp_path / "ds"
+    assert main(["synth", "--kind", "homophily", "--nodes", str(nodes), "--feats", "50",
+                 "--classes", "3", "--n-f", str(n_f), "--p-in", "0.005", "--p-out", "0.0005",
+                 "--seed", "5", "--out-dir", str(data)]) == 0
+    args = [f"--{kind}={data}/{kind}.tsv" for kind in ("edges", "features", "labels")]
+    assert main(["train", *args, "--n-f", str(n_f), "--d-emb", str(d), "--d-hidden", str(d),
+                 "--max-epochs", "1", "--quiet", "--out-dir", str(tmp_path / "run")]) == 0
+    evaluate = traced(tmp_path, "eval", "eval", f"--checkpoint={tmp_path}/run/checkpoint.bin",
+                      *args)
+    names = [span[0] for span in evaluate["spans"]]
+    assert names.count("interaction.forward_all_nodes") == 1
+    assert names.count("autodiff.tape.gather_rows") >= 2
+    assert evaluate["counts"]["interaction.embed_elems"] == nodes * n_f * d

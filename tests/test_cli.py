@@ -430,12 +430,39 @@ def test_verify_theorem_cell_needs_both_flags(capsys, given, missing):
     assert f"{missing} is missing" in err
 
 
+@pytest.mark.parametrize("given, missing", [
+    (["--hops", "5"], "--n and --rho1 are missing"),
+    (["--hops", "5", "--spectrum-n", "4"], "--n and --rho1 are missing"),
+    (["--spectrum-rho", "3"], "--spectrum-n is missing"),
+    (["--spectrum-rho", "3", "--theorem-cells", "1"], "--spectrum-n is missing"),
+])
+def test_verify_flag_without_its_check_is_usage_error(capsys, given, missing):
+    # the flag would otherwise be dropped and the full report run
+    code, out, err = run(capsys, "verify", *given)
+    assert code == 2
+    assert out == ""
+    assert missing in err
+
+
+def test_verify_theorem_cell_rejects_zero_hops(capsys):
+    code, out, err = run(capsys, "verify", "--n", "3", "--rho1", "2.0", "--hops", "0")
+    assert code == 2
+    assert out == ""
+    assert "hops must be >= 1, got 0" in err
+
+
 def test_verify_spectrum_report(capsys):
     code, out, _ = run(capsys, "verify", "--spectrum-n", "4", "--spectrum-rho", "1.0")
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
     assert report["filter_coefficients"] == [1.0, 0.2]
+
+
+def test_verify_spectrum_rho_defaults_to_zero(capsys):
+    code, out, _ = run(capsys, "verify", "--spectrum-n", "4")
+    assert code == 0
+    assert json.loads(out)["filter_coefficients"] == [1.0, 0.0]
 
 
 def test_grid_command_and_jobs_parity(dataset_dir, tmp_path, capsys):

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+import catgcn.interaction
 import catgcn.model
 import forward_oracle as oracle
 import tape_oracle
@@ -32,7 +33,7 @@ def setup(seed=0, weights="unit", **overrides):
     """A small model; `weights="mixed"` swaps in `mixed_weights` for the sample's
     unit weights (the synthetic generator makes only 1.0)."""
     ds = generate_synthetic("homophily", 24, 30, 3, 5, 0.2, 0.05, seed=seed)
-    cfg = TrainConfig(d_emb=8, d_hidden=8, n_f=5, seed=seed, **overrides)
+    cfg = TrainConfig(**{"d_emb": 8, "d_hidden": 8, "n_f": 5, "seed": seed, **overrides})
     norm, _ = normalize_sym(build_adjacency(ds.edges, ds.num_nodes))
     sample = sample_features(ds, cfg.n_f, seed)
     if weights == "mixed":
@@ -258,6 +259,86 @@ def test_training_step_peak_memory():
         tracemalloc.stop()
     unit = nodes * n_f * d * 8
     assert peak <= 5 * unit, f"peak {peak / unit:.2f} x (N * n_f * d_emb * 8 bytes)"
+
+
+# the training tape's records of the global route with its projection, and of
+# the fusion; the expected sequences below are those of the single-pass forward
+GLOBAL_REC = "artificial_prop matmul relu mean_rows matmul add_bias"
+FUSE_REC = "scale scale add"
+
+
+@pytest.mark.parametrize("weights", ["unit", "mixed"])
+@pytest.mark.parametrize("overrides, records, leaves", [
+    (dict(alpha=0.0), "biinteraction matmul add_bias", "b_l w_l"),
+    (dict(alpha=0.5), f"{GLOBAL_REC} biinteraction matmul add_bias {FUSE_REC}",
+     "b_l w_l b_g w_g w_conv"),
+    (dict(alpha=1.0), GLOBAL_REC, "b_g w_g w_conv"),
+    (dict(variant="meanpool"), "mean_rows matmul add_bias", "b_l w_l"),
+    (dict(alpha=0.5, deep_projection=True),
+     f"{GLOBAL_REC} relu matmul add_bias biinteraction matmul add_bias relu matmul add_bias "
+     f"{FUSE_REC}", "b_l w_l b_l_hidden w_l_hidden b_g w_g b_g_hidden w_g_hidden w_conv"),
+    (dict(alpha=0.5, final_activation="relu"),
+     f"{GLOBAL_REC} relu biinteraction matmul add_bias relu {FUSE_REC}",
+     "b_l w_l b_g w_g w_conv"),
+    (dict(alpha=0.5, d_emb=1), f"{GLOBAL_REC} biinteraction matmul add_bias {FUSE_REC}",
+     "b_l w_l b_g w_g w_conv"),
+    (dict(alpha=0.5, n_f=1), f"{GLOBAL_REC} biinteraction matmul add_bias {FUSE_REC}",
+     "b_l w_l b_g w_g w_conv"),
+])
+def test_eval_in_node_blocks_is_bit_equal_to_training_logits(monkeypatch, overrides, records,
+                                                           leaves, weights):
+    ds, cfg, norm, sample, params = setup(seed=1, rho=2.5, weights=weights, **overrides)
+    split = make_split(ds, 1)
+    # 7 nodes per block: the 24 nodes run in blocks of 7, 7, 7 and 3
+    width = max(cfg.d_emb, cfg.d_hidden)
+    monkeypatch.setattr(catgcn.interaction, "NODE_BLOCK_BYTES", 7 * 8 * cfg.n_f * width)
+    blocks = []
+    gather = Tape.gather_rows
+
+    def spy(tape, table, ids):
+        blocks.append(len(ids))
+        return gather(tape, table, ids)
+
+    monkeypatch.setattr(Tape, "gather_rows", spy)
+    y = model_forward(params, sample, norm, cfg).y
+    assert blocks == [7, 7, 7, 3]
+    blocks.clear()
+
+    # the taped forward runs one block of all nodes, with the parent's records
+    tape = Tape()
+    y_taped = taped_forward(tape, params, sample, norm, cfg, train=True)
+    loss = taped_loss(tape, y_taped, ds.labels, split.train_ids, cfg.eta, params)
+    assert blocks == [24]
+    ops = [vjp.__qualname__.split(".")[1] for _, _, vjp in tape._records]
+    assert ops == f"gather_rows scale_rows {records} sparse_propagate softmax_cross_entropy".split()
+    grads = backward(tape, loss)
+    names = {id(t): n for n, t in params.named_tensors().items()}
+    assert [names[id(t)] for t in grads] == f"{leaves} embedding".split()
+    assert y.tobytes() == y_taped.data.tobytes()
+    assert y.tobytes() == training_step(params, sample, norm, cfg, ds.labels, split.train_ids,
+                                        cfg.eta)[2].tobytes()
+
+
+def test_eval_forward_peak_memory_stays_below_one_embedded_array():
+    # one (N, n_f, d_emb) float64 array is 16x the node-block budget here; a
+    # single pass over all nodes holds several such arrays at once
+    nodes, n_f, d = 2048, 32, 32
+    budget = catgcn.interaction.NODE_BLOCK_BYTES
+    unit = nodes * n_f * d * 8
+    assert unit >= 8 * budget
+    ds = generate_synthetic("homophily", nodes, 300, 4, n_f, 0.004, 0.0004, seed=2)
+    cfg = TrainConfig(d_emb=d, d_hidden=d, n_f=n_f, alpha=0.5, rho=1.0, hops=2, seed=2)
+    norm, _ = normalize_sym(build_adjacency(ds.edges, ds.num_nodes))
+    sample = sample_features(ds, n_f, 2)
+    params = xavier_init(ds.num_features, ds.num_classes, cfg)
+    model_forward(params, sample, norm, cfg)  # warm up lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        model_forward(params, sample, norm, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < unit, f"peak {peak / unit:.2f} x (N * n_f * d_emb * 8 bytes)"
 
 
 def test_loss_reporting_matches_taped():

@@ -29,6 +29,7 @@ from .graph import build_adjacency, normalize_sym
 from .model import model_forward
 from .oracle import certify_theorem, run_verification, spectrum_check
 from .training import (
+    GRID_AXES,
     TrainConfig,
     TrainingDiverged,
     default_grids,
@@ -47,7 +48,11 @@ def _say(msg: str) -> None:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(obj, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the reader is gone: the rest, exit-time flush included, goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _add_dataset_args(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -250,20 +255,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_grid_list(spec: str, caster):
-    return [caster(tok) for tok in spec.split(",") if tok.strip() != ""]
-
-
 def cmd_grid(args) -> int:
     config = _resolve_config(args)
     grids = default_grids()
-    for axis, caster in (
-        ("learning_rate", float), ("eta", float), ("dropout", float),
-        ("alpha", float), ("rho", float), ("hops", int),
-    ):
-        spec = getattr(args, f"{axis}_grid")
+    for axis in GRID_AXES:
+        spec, caster = getattr(args, f"{axis}_grid"), _PARSERS[_CONFIG_FIELDS[axis].type]
         if spec is not None:
-            grids[axis] = _parse_grid_list(spec, caster)
+            grids[axis] = [caster(tok) for tok in spec.split(",") if tok.strip() != ""]
     grid_cells(grids, config)  # every cell's config is checked before any file is read
     dataset = load_dataset(args.edges, args.features, args.labels)
     result_rows, best_idx = grid_search(dataset, grids, config, jobs=args.jobs)
@@ -281,26 +279,39 @@ def cmd_grid(args) -> int:
     return 0
 
 
+# the checks `verify` runs, one per call: (name, flags it needs, flags it may take,
+# runner called with the flags given, returning a JSON report with "passed")
+_VERIFY_CHECKS = (
+    ("one theorem cell", ("n", "rho1"), ("hops",),
+     lambda n, rho1, hops=2: dataclasses.asdict(certify_theorem(n, rho1, hops))),
+    ("the spectrum check", ("spectrum_n",), ("spectrum_rho",),
+     lambda spectrum_n, spectrum_rho=0.0: dataclasses.asdict(
+         spectrum_check(spectrum_n, spectrum_rho))),
+    ("the full report", (), ("theorem_cells", "bi_matrices", "seed"), run_verification),
+)
+
+
+def _flags(names, one: str, many: str) -> str:
+    """`--a and --b`, then the verb form (`one` or `many`) that agrees with them."""
+    verb = one if len(names) == 1 else many
+    return " and ".join("--" + n.replace("_", "-") for n in names) + " " + verb
+
+
 def cmd_verify(args) -> int:
-    if (args.n is None) != (args.rho1 is None):
-        missing = "--rho1" if args.rho1 is None else "--n"
-        raise ValueError(f"--n and --rho1 select one theorem cell together: {missing} is missing")
-    if args.hops is not None and args.n is None:
-        raise ValueError("--hops applies to one theorem cell: --n and --rho1 are missing")
-    if args.spectrum_rho is not None and args.spectrum_n is None:
-        raise ValueError("--spectrum-rho applies to the spectrum check: --spectrum-n is missing")
-    if args.n is not None:
-        cert = certify_theorem(args.n, args.rho1, 2 if args.hops is None else args.hops)
-        _emit(dataclasses.asdict(cert))
-        return 0 if cert.passed else 1
-    if args.spectrum_n is not None:
-        rho = 0.0 if args.spectrum_rho is None else args.spectrum_rho
-        report = spectrum_check(args.spectrum_n, rho)
-        _emit(dataclasses.asdict(report))
-        return 0 if report.passed else 1
-    report = run_verification(
-        theorem_cells=args.theorem_cells, bi_matrices=args.bi_matrices, seed=args.seed
-    )
+    chosen = []
+    for check, needs, takes, runner in _VERIFY_CHECKS:
+        given = {k: getattr(args, k) for k in needs + takes if getattr(args, k) is not None}
+        missing = [k for k in needs if k not in given]
+        if given and missing:
+            raise ValueError(f"{_flags(given, 'applies', 'apply')} to {check}: "
+                             f"{_flags(missing, 'is', 'are')} missing")
+        if given:
+            chosen.append((check, given, runner))
+    if len(chosen) > 1:
+        raise ValueError("verify runs one check at a time: " + "; ".join(
+            f"{_flags(given, 'belongs', 'belong')} to {check}" for check, given, _ in chosen))
+    _, given, runner = chosen[0] if chosen else (None, {}, run_verification)
+    report = runner(**given)
     _emit(report)
     return 0 if report["passed"] else 1
 
@@ -353,17 +364,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("grid", help="hyperparameter grid search")
     _add_dataset_args(p_grid)
     _add_config_args(p_grid)
-    for axis in ("learning-rate", "eta", "dropout", "alpha", "rho", "hops"):
-        p_grid.add_argument(f"--{axis}-grid", default=None, metavar="V1,V2,...",
-                            dest=f"{axis.replace('-', '_')}_grid")
+    for axis in GRID_AXES:
+        p_grid.add_argument(f"--{axis.replace('_', '-')}-grid", default=None,
+                            metavar="V1,V2,...")
     p_grid.add_argument("--jobs", type=int, default=1)
     p_grid.add_argument("--out-dir", default=".")
     p_grid.set_defaults(fn=cmd_grid)
 
     p_verify = sub.add_parser("verify", help="run the certification oracles")
-    p_verify.add_argument("--theorem-cells", type=int, default=200)
-    p_verify.add_argument("--bi-matrices", type=int, default=500)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--theorem-cells", type=int, default=None)
+    p_verify.add_argument("--bi-matrices", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--n", type=int, default=None, help="single theorem cell: set size")
     p_verify.add_argument("--rho1", type=float, default=None)
     p_verify.add_argument("--hops", type=int, default=None)

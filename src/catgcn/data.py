@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import canonical_edges
 from .rng import SAMPLE, SPLIT, SYNTH, counter_keys, stream_rng
 
 
@@ -29,8 +30,11 @@ class RawDataset:
     num_features: int
     num_classes: int
     edges: np.ndarray  # (E, 2) int64, canonical: u < v, deduplicated, no self loops
-    feature_ids: list  # per node: int64 array, ascending, distinct, non-empty
-    feature_weights: list  # per node: float64 array, finite and positive
+    # every bag as one CSR: node u's bag is entries bag_offsets[u]:bag_offsets[u + 1]
+    # of the flat arrays, in ascending id order
+    bag_offsets: np.ndarray  # (N + 1,) int64, strictly increasing: no bag is empty
+    bag_ids: np.ndarray  # int64, distinct within a bag
+    bag_weights: np.ndarray  # float64, finite and positive
     labels: np.ndarray  # (N,) int64, -1 marks unlabeled
     diagnostics: dict = field(default_factory=dict)
 
@@ -38,13 +42,17 @@ class RawDataset:
     def labeled_ids(self) -> np.ndarray:
         return np.flatnonzero(self.labels >= 0).astype(np.int64)
 
+    def bag(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, weights) of node u's bag: views into the flat arrays."""
+        a, b = self.bag_offsets[u], self.bag_offsets[u + 1]
+        return self.bag_ids[a:b], self.bag_weights[a:b]
+
 
 @dataclass(frozen=True)
 class SplitAssignment:
     train_ids: np.ndarray
     val_ids: np.ndarray
     test_ids: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -53,8 +61,6 @@ class FeatureSample:
 
     ids: np.ndarray
     weights: np.ndarray
-    n_f: int
-    seed: int
 
 
 def _read_lines(path: str) -> tuple[list, list]:
@@ -214,17 +220,6 @@ def _parse_features(lines: list) -> tuple:
     return nodes, sizes, bad | bad_node, fids, weights, bad_tok
 
 
-# lines parsed at a time: bounds the token strings alive at once, and with
-# them the memory the parse leaves behind
-_CHUNK_LINES = 1 << 16
-
-
-def _parse_chunked(parse, lines: list) -> list:
-    """`parse` over consecutive blocks of `lines`, each output concatenated."""
-    blocks = [parse(lines[i : i + _CHUNK_LINES]) for i in range(0, len(lines), _CHUNK_LINES)]
-    return [np.concatenate(out) for out in zip(*(blocks or [parse([])]))]
-
-
 def _repeats(values: np.ndarray) -> np.ndarray:
     """Mask of the entries whose value already occurs at an earlier position."""
     order = np.argsort(values, kind="stable")
@@ -241,12 +236,12 @@ def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDa
     the first rule it breaks (see `_check_line`).
     """
     linenos, lines = _read_lines(features_path)
-    nodes, sizes, bad, fids, weights, bad_tok = _parse_chunked(_parse_features, lines)
+    nodes, sizes, bad, fids, weights, bad_tok = _parse_features(lines)
     bad |= (nodes < 0) | _repeats(nodes) | (sizes == 0)
     tok_line = np.repeat(np.arange(len(lines)), sizes)
     bad[tok_line[bad_tok | (fids < 0)]] = True
     # one sort by (node, id): finds an id repeated on a line, and is the
-    # ascending per-node layout that feature_ids slices
+    # bag layout RawDataset keeps
     order = np.lexsort((fids, nodes[tok_line]))
     fids, weights, tok_line = fids[order], weights[order], tok_line[order]
     repeated = (fids[1:] == fids[:-1]) & (tok_line[1:] == tok_line[:-1])
@@ -260,19 +255,18 @@ def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDa
         missing = int(np.argmax(np.sort(nodes) != np.arange(len(lines))))
         raise DataError(f"{features_path}: node {missing} has no feature line")
     num_features = int(fids.max()) + 1
-    node_sizes = np.empty_like(sizes)
-    node_sizes[nodes] = sizes
-    ends = np.cumsum(node_sizes)
-    bounds = list(zip((ends - node_sizes).tolist(), ends.tolist()))
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    offsets[nodes + 1] = sizes
+    np.cumsum(offsets, out=offsets)
 
     linenos, lines = _read_lines(edges_path)
-    u, v, bad = _parse_chunked(_parse_pairs, lines)
+    u, v, bad = _parse_pairs(lines)
     bad |= (np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes)
     _raise_first_fault("edges", edges_path, linenos, lines, bad, num_nodes=num_nodes)
-    edges, diag = _canonical_edges(np.column_stack([u, v]))
+    edges, n_self, n_dup = canonical_edges(np.column_stack([u, v]))
 
     linenos, lines = _read_lines(labels_path)
-    labeled, classes, bad = _parse_chunked(_parse_pairs, lines)
+    labeled, classes, bad = _parse_pairs(lines)
     bad |= (np.minimum(labeled, classes) < 0) | (labeled >= num_nodes) | _repeats(labeled)
     _raise_first_fault(
         "labels", labels_path, linenos, lines, bad, num_nodes=num_nodes, nodes=labeled
@@ -281,7 +275,9 @@ def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDa
     labels[labeled] = classes
     num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
 
-    diag.update(
+    diag = dict(
+        self_loops_dropped=n_self,
+        duplicate_edges_dropped=n_dup,
         num_nodes=num_nodes,
         num_features=num_features,
         num_classes=num_classes,
@@ -293,27 +289,12 @@ def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDa
         num_features=num_features,
         num_classes=num_classes,
         edges=edges,
-        feature_ids=[fids[a:b] for a, b in bounds],
-        feature_weights=[weights[a:b] for a, b in bounds],
+        bag_offsets=offsets,
+        bag_ids=fids,
+        bag_weights=weights,
         labels=labels,
         diagnostics=diag,
     )
-
-
-def _canonical_edges(raw_edges) -> tuple[np.ndarray, dict]:
-    e = np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2)
-    n_raw = len(e)
-    e = e[e[:, 0] != e[:, 1]]
-    n_self = n_raw - len(e)
-    e = np.sort(e, axis=1)
-    if len(e):
-        e = np.unique(e, axis=0)
-    n_dup = n_raw - n_self - len(e)
-    return e, {"self_loops_dropped": int(n_self), "duplicate_edges_dropped": int(n_dup)}
-
-
-def _format_weight(w: float) -> str:
-    return repr(float(w))
 
 
 def write_dataset(ds: RawDataset, out_dir: str, meta: dict | None = None) -> dict:
@@ -329,9 +310,7 @@ def write_dataset(ds: RawDataset, out_dir: str, meta: dict | None = None) -> dic
             fh.write(f"{u}\t{v}\n")
     with open(paths["features"], "w", encoding="utf-8", newline="\n") as fh:
         for u in range(ds.num_nodes):
-            toks = []
-            for fid, w in zip(ds.feature_ids[u], ds.feature_weights[u]):
-                toks.append(str(fid) if w == 1.0 else f"{fid}:{_format_weight(w)}")
+            toks = (str(f) if w == 1.0 else f"{f}:{float(w)!r}" for f, w in zip(*ds.bag(u)))
             fh.write(f"{u}\t{' '.join(toks)}\n")
     with open(paths["labels"], "w", encoding="utf-8", newline="\n") as fh:
         for u in range(ds.num_nodes):
@@ -372,7 +351,6 @@ def make_split(ds: RawDataset, seed: int) -> SplitAssignment:
         train_ids=np.sort(perm[:n_train]),
         val_ids=np.sort(perm[n_train : n_train + n_val]),
         test_ids=np.sort(perm[n_train + n_val :]),
-        seed=seed,
     )
 
 
@@ -393,12 +371,10 @@ def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
     # allocated after them would pin the freed memory above it in the heap
     ids = np.empty((ds.num_nodes, n_f), dtype=np.int64)
     weights = np.empty((ds.num_nodes, n_f))
-    sizes = np.fromiter(map(len, ds.feature_ids), dtype=np.int64, count=ds.num_nodes)
-    flat_ids = np.concatenate(ds.feature_ids)
-    flat_w = np.concatenate(ds.feature_weights)
-    starts = np.cumsum(sizes) - sizes
+    starts = ds.bag_offsets[:-1]
+    sizes = np.diff(ds.bag_offsets)
     row = np.repeat(np.arange(ds.num_nodes), sizes)
-    slot = np.arange(len(flat_ids)) - starts[row]
+    slot = np.arange(len(ds.bag_ids)) - starts[row]
     # rows are already contiguous, so sorting by (row, key) keeps each row at
     # its offsets: position i of `order` holds the row's rank slot[i]
     order = np.lexsort((counter_keys(seed, SAMPLE, row, slot), row))
@@ -410,9 +386,9 @@ def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
     pick[fill_row, fill_slot] = starts[fill_row] + (
         fill_key % sizes[fill_row].astype(np.uint64)
     ).astype(np.int64)
-    np.take(flat_ids, pick, out=ids)
-    np.take(flat_w, pick, out=weights)
-    return FeatureSample(ids=ids, weights=weights, n_f=n_f, seed=seed)
+    np.take(ds.bag_ids, pick, out=ids)
+    np.take(ds.bag_weights, pick, out=weights)
+    return FeatureSample(ids=ids, weights=weights)
 
 
 # --- synthetic generators -------------------------------------------------
@@ -458,13 +434,17 @@ def generate_synthetic(
         fids = [np.sort(rng.choice(n_feats, size=n_f, replace=False)) for _ in range(n_nodes)]
 
     edges = _sbm_edges(labels, n_classes, p_in, p_out, rng)
+    offsets = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum([len(f) for f in fids], out=offsets[1:])
+    bag_ids = np.concatenate(fids)
     return RawDataset(
         num_nodes=n_nodes,
         num_features=n_feats,
         num_classes=n_classes,
         edges=edges,
-        feature_ids=fids,
-        feature_weights=[np.ones(len(f)) for f in fids],
+        bag_offsets=offsets,
+        bag_ids=bag_ids,
+        bag_weights=np.ones(len(bag_ids)),
         labels=labels,
         diagnostics={"kind": kind, "seed": seed},
     )
@@ -567,5 +547,4 @@ def _sbm_edges(labels, n_classes, p_in, p_out, rng) -> np.ndarray:
                     chunks.append(np.column_stack([blocks[a][i], blocks[b][j]]))
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
-    edges, _ = _canonical_edges(np.concatenate(chunks))
-    return edges
+    return canonical_edges(np.concatenate(chunks))[0]

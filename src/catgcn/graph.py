@@ -1,4 +1,4 @@
-"""Sparse graph structure: CSR adjacency, symmetric normalization, L-hop propagation."""
+"""Sparse graph structure: canonical edges, CSR adjacency, symmetric normalization, propagation."""
 
 from __future__ import annotations
 
@@ -60,11 +60,28 @@ def _csr_from_coo(rows, cols, vals, num_rows: int, num_cols: int) -> CsrMatrix:
     return CsrMatrix(num_rows, num_cols, offsets, cols, vals)
 
 
+def canonical_edges(edges) -> tuple[np.ndarray, int, int]:
+    """(edges, self loops dropped, duplicates dropped) of an undirected edge list.
+
+    The result is (E, 2) int64 in ascending (u, v) order with u < v: self loops
+    are dropped and each pair, in either order, is kept once.
+    """
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    n_raw = len(e)
+    e = np.sort(e[e[:, 0] != e[:, 1]], axis=1)
+    n_self = n_raw - len(e)
+    e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    first = np.ones(len(e), dtype=bool)
+    first[1:] = (e[1:] != e[:-1]).any(axis=1)
+    e = e[first]
+    return e, n_self, n_raw - n_self - len(e)
+
+
 def build_adjacency(edges, num_nodes: int) -> CsrMatrix:
     """Canonical symmetric binary adjacency from an undirected edge list.
 
     Self loops are dropped, duplicates (in either order) collapse to one
-    undirected edge, and both (i,j) and (j,i) are stored.
+    undirected edge (`canonical_edges`), and both (i,j) and (j,i) are stored.
     """
     if num_nodes < 1:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
@@ -72,18 +89,9 @@ def build_adjacency(edges, num_nodes: int) -> CsrMatrix:
     if e.size and (e.min() < 0 or e.max() >= num_nodes):
         bad = e[(e < 0).any(axis=1) | (e >= num_nodes).any(axis=1)][0]
         raise ValueError(f"edge ({bad[0]}, {bad[1]}) references a node outside [0, {num_nodes})")
-    e = e[e[:, 0] != e[:, 1]]
-    e = np.sort(e, axis=1)
-    if e.size:
-        e = np.unique(e, axis=0)
-    both = np.concatenate([e, e[:, ::-1]]) if e.size else e
-    return _csr_from_coo(
-        both[:, 0] if both.size else [],
-        both[:, 1] if both.size else [],
-        np.ones(len(both)),
-        num_nodes,
-        num_nodes,
-    )
+    e = canonical_edges(e)[0]
+    both = np.concatenate([e, e[:, ::-1]])
+    return _csr_from_coo(both[:, 0], both[:, 1], np.ones(len(both)), num_nodes, num_nodes)
 
 
 def normalize_sym(adj: CsrMatrix) -> tuple[CsrMatrix, DegreeVector]:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# Stream ids. Substream meaning depends on the stream: epoch index for DROPOUT
-# and RESAMPLE, zero elsewhere; SAMPLE keys count nodes and bag slots instead.
+# Stream ids. Substream meaning depends on the stream: epoch index for DROPOUT,
+# zero elsewhere; SAMPLE keys count nodes and bag slots instead (a per-epoch
+# resample keys them with the seed `derive_cell_seed(seed, epoch)`).
 SPLIT = 1
 SAMPLE = 2
 XAVIER = 3
 DROPOUT = 4
 SYNTH = 5
-RESAMPLE = 6
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64 (Steele, Lea & Flood 2014): golden-ratio increment, then the

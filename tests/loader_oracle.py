@@ -1,9 +1,10 @@
 """The per-line dataset loader, kept verbatim as the reference for the bulk one.
 
 `catgcn.data.load_dataset` validates whole files at once with numpy; this is
-the loop it replaced, copied unchanged. Tests require both to return equal
-datasets on valid files and to raise the same exception with the same message
-on faulty ones.
+the loop it replaced, copied unchanged except that the per-node bags it parses
+are packed into the flat layout `RawDataset` holds. Tests require both to
+return equal datasets on valid files and to raise the same exception with the
+same message on faulty ones.
 """
 
 from __future__ import annotations
@@ -117,13 +118,16 @@ def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDa
         num_edges=len(edges),
         num_labeled=int((labels >= 0).sum()),
     )
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum([len(feat_ids[u]) for u in range(num_nodes)], out=offsets[1:])
     return RawDataset(
         num_nodes=num_nodes,
         num_features=num_features,
         num_classes=num_classes,
         edges=edges,
-        feature_ids=[feat_ids[u] for u in range(num_nodes)],
-        feature_weights=[feat_w[u] for u in range(num_nodes)],
+        bag_offsets=offsets,
+        bag_ids=np.concatenate([feat_ids[u] for u in range(num_nodes)]),
+        bag_weights=np.concatenate([feat_w[u] for u in range(num_nodes)]),
         labels=labels,
         diagnostics=diag,
     )

@@ -4,12 +4,16 @@ import dataclasses
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from catgcn.cli import _resolve_config, build_parser, main
 from catgcn.training import TrainConfig
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -430,18 +434,41 @@ def test_verify_theorem_cell_needs_both_flags(capsys, given, missing):
     assert f"{missing} is missing" in err
 
 
-@pytest.mark.parametrize("given, missing", [
+@pytest.mark.parametrize("given, message", [
     (["--hops", "5"], "--n and --rho1 are missing"),
     (["--hops", "5", "--spectrum-n", "4"], "--n and --rho1 are missing"),
     (["--spectrum-rho", "3"], "--spectrum-n is missing"),
     (["--spectrum-rho", "3", "--theorem-cells", "1"], "--spectrum-n is missing"),
+    (["--n", "3", "--rho1", "2", "--spectrum-n", "4", "--spectrum-rho", "1"],
+     "--n and --rho1 belong to one theorem cell; "
+     "--spectrum-n and --spectrum-rho belong to the spectrum check"),
+    (["--spectrum-n", "4", "--theorem-cells", "5"],
+     "--spectrum-n belongs to the spectrum check; --theorem-cells belongs to the full report"),
+    (["--n", "3", "--rho1", "2", "--seed", "9"],
+     "--n and --rho1 belong to one theorem cell; --seed belongs to the full report"),
 ])
-def test_verify_flag_without_its_check_is_usage_error(capsys, given, missing):
-    # the flag would otherwise be dropped and the full report run
+def test_verify_flag_without_its_check_is_usage_error(capsys, given, message):
+    # the flag would otherwise be dropped and another check run
     code, out, err = run(capsys, "verify", *given)
     assert code == 2
     assert out == ""
-    assert missing in err
+    assert message in err
+
+
+def test_verify_into_a_closed_pipe_keeps_its_exit_code():
+    # the reader is gone before the child writes: nothing to report, and the
+    # check's own result decides the exit code
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "catgcn", "verify", "--spectrum-n", "4"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_verify_theorem_cell_rejects_zero_hops(capsys):

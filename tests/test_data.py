@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,8 +40,10 @@ def test_load_basic(tmp_path):
     assert ds.num_classes == 2
     assert np.array_equal(ds.edges, [[0, 1], [1, 2]])
     assert np.array_equal(ds.labels, [0, -1, 1])
-    assert np.array_equal(ds.feature_ids[0], [0, 2])
-    assert np.array_equal(ds.feature_weights[0], [1.0, 1.5])
+    assert np.array_equal(ds.bag_offsets, [0, 2, 3, 6])
+    ids, weights = ds.bag(0)
+    assert np.array_equal(ids, [0, 2])
+    assert np.array_equal(weights, [1.0, 1.5])
 
 
 def test_load_skips_blank_and_comment_lines(tmp_path):
@@ -107,11 +110,29 @@ def test_write_then_load_roundtrip(tmp_path):
     assert ds2.num_classes == ds.num_classes
     assert np.array_equal(ds2.edges, ds.edges)
     assert np.array_equal(ds2.labels, ds.labels)
-    for u in range(ds.num_nodes):
-        assert np.array_equal(ds2.feature_ids[u], ds.feature_ids[u])
-        assert np.array_equal(ds2.feature_weights[u], ds.feature_weights[u])
+    for got, want in ((ds2.bag_offsets, ds.bag_offsets), (ds2.bag_ids, ds.bag_ids),
+                      (ds2.bag_weights, ds.bag_weights)):
+        assert np.array_equal(got, want)
     meta = json.loads(open(paths["meta"], encoding="utf-8").read())
     assert meta == {"k": 1}
+
+
+def test_loaded_dataset_holds_little_beyond_its_arrays(tmp_path):
+    # 3000 bags of 3 ids: a Python object per node would outweigh the bags
+    ds = generate_synthetic("homophily", 3000, 50, 3, 3, 0.002, 0.0002, seed=1)
+    paths = write_dataset(ds, str(tmp_path))
+    files = (paths["edges"], paths["features"], paths["labels"])
+    load_dataset(*files)  # first call: module-level caches fill outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_dataset(*files)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = (loaded.edges, loaded.bag_offsets, loaded.bag_ids, loaded.bag_weights,
+              loaded.labels)
+    assert kept <= 1.5 * sum(a.nbytes for a in arrays)
 
 
 def test_fingerprint_tracks_content(tmp_path):
@@ -175,7 +196,7 @@ def test_sample_features_without_replacement_when_enough():
     assert sample.ids.shape == (30, 5)
     for u in range(30):
         assert len(np.unique(sample.ids[u])) == 5  # distinct
-        assert set(sample.ids[u]) <= set(ds.feature_ids[u])
+        assert set(sample.ids[u]) <= set(ds.bag(u)[0])
 
 
 def test_sample_features_fills_with_replacement_when_short(tmp_path):
@@ -203,7 +224,8 @@ def test_local_signal_label_is_key_sum():
     ds = generate_synthetic("local-signal", 200, 60, 4, 6, 0.05, 0.05, seed=8)
     n_signal = 8
     for u in range(ds.num_nodes):
-        sig = ds.feature_ids[u][ds.feature_ids[u] < n_signal]
+        ids = ds.bag(u)[0]
+        sig = ids[ids < n_signal]
         assert len(sig) == 2
         assert ds.labels[u] == (sig[0] + sig[1]) % 4
 
@@ -217,7 +239,7 @@ def test_local_signal_single_feature_marginals_are_flat():
         classes = {
             int(ds.labels[u])
             for u in range(ds.num_nodes)
-            if f in set(ds.feature_ids[u][:3])
+            if f in set(ds.bag(u)[0][:3])
         }
         assert len(classes) >= 3
 
@@ -226,7 +248,8 @@ def test_global_signal_label_from_group_pair():
     ds = generate_synthetic("global-signal", 200, 120, 3, 10, 0.05, 0.05, seed=8)
     group_size = int(0.7 * 120) // 12  # 4 groups per key at 3 classes
     for u in range(ds.num_nodes):
-        sig = ds.feature_ids[u][ds.feature_ids[u] < 12 * group_size]
+        ids = ds.bag(u)[0]
+        sig = ids[ids < 12 * group_size]
         assert len(sig) == 7  # round(0.7 * 10)
         pair, counts = np.unique(sig // group_size, return_counts=True)
         assert len(pair) == 2
@@ -241,7 +264,8 @@ def test_global_signal_single_group_marginals_are_flat():
     group_size = int(0.7 * 120) // 12
     seen = [set() for _ in range(12)]
     for u in range(ds.num_nodes):
-        sig = ds.feature_ids[u][ds.feature_ids[u] < 12 * group_size]
+        ids = ds.bag(u)[0]
+        sig = ids[ids < 12 * group_size]
         for g in np.unique(sig // group_size):
             seen[g].add(int(ds.labels[u]))
     assert all(len(s) == 3 for s in seen)
@@ -275,4 +299,5 @@ def test_generate_synthetic_deterministic():
     b = generate_synthetic("local-signal", 80, 40, 3, 5, 0.1, 0.02, seed=7)
     assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.labels, b.labels)
-    assert all(np.array_equal(x, y) for x, y in zip(a.feature_ids, b.feature_ids))
+    assert np.array_equal(a.bag_offsets, b.bag_offsets)
+    assert np.array_equal(a.bag_ids, b.bag_ids)

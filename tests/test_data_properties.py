@@ -1,8 +1,10 @@
-"""Properties of the bulk data path: the keyed feature sampler and the loader.
+"""Properties of the bulk data path: the keyed feature sampler, the loader and
+edge canonicalization.
 
 The loader is compared against `loader_oracle.load_dataset`, the per-line
 loader it replaced, on generated valid files (equal datasets) and on files
-with injected faults (same exception type and message).
+with injected faults (same exception type and message); `canonical_edges`
+against the oracle's `np.unique` canonicalization.
 """
 
 import numpy as np
@@ -11,6 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from catgcn.data import DataError, RawDataset, load_dataset, sample_features
+from catgcn.graph import canonical_edges
+from loader_oracle import _canonical_edges as oracle_canonical_edges
 from loader_oracle import load_dataset as oracle_load_dataset
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -20,15 +24,18 @@ SETTINGS = settings(max_examples=150, deadline=None,
 def make_dataset(bags) -> RawDataset:
     """A dataset over the given per-node bags; weight of id f is 1 + f / 8, so a
     sampled weight shows which id it came with."""
-    ids = [np.array(sorted(b), dtype=np.int64) for b in bags]
+    ids = np.concatenate([sorted(b) for b in bags]).astype(np.int64)
+    offsets = np.zeros(len(bags) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in bags], out=offsets[1:])
     return RawDataset(
-        num_nodes=len(ids),
-        num_features=max(int(i.max()) for i in ids) + 1,
+        num_nodes=len(bags),
+        num_features=int(ids.max()) + 1,
         num_classes=0,
         edges=np.empty((0, 2), dtype=np.int64),
-        feature_ids=ids,
-        feature_weights=[1.0 + i / 8.0 for i in ids],
-        labels=np.full(len(ids), -1, dtype=np.int64),
+        bag_offsets=offsets,
+        bag_ids=ids,
+        bag_weights=1.0 + ids / 8.0,
+        labels=np.full(len(bags), -1, dtype=np.int64),
     )
 
 
@@ -105,6 +112,27 @@ def test_sample_inclusion_frequency():
     assert np.abs(fill - 1 / 3).max() < 0.01
 
 
+# --- edge canonicalization against the oracle's ------------------------------
+
+pairs = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40)
+
+
+@SETTINGS
+@given(edges=pairs, data=st.data())
+def test_canonical_edges_matches_oracle(edges, data):
+    # a small id range makes self loops and repeats common; append some
+    # drawn pairs again, reversed or not, so repeats also come in both orders
+    again = data.draw(st.lists(st.tuples(st.sampled_from(edges), st.booleans()),
+                               max_size=10)) if edges else []
+    again = [(v, u) if flip else (u, v) for (u, v), flip in again]
+    raw = np.array(edges + again, dtype=np.int64).reshape(-1, 2)
+    got, n_self, n_dup = canonical_edges(raw)
+    want, diag = oracle_canonical_edges(raw)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert (n_self, n_dup) == (diag["self_loops_dropped"], diag["duplicate_edges_dropped"])
+
+
 # --- loader against the per-line oracle --------------------------------------
 
 def write(tmp_path, texts):
@@ -135,9 +163,11 @@ def assert_same_outcome(paths):
     assert a.diagnostics == b.diagnostics
     for x, y in ((a.edges, b.edges), (a.labels, b.labels)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
-    assert len(a.feature_ids) == len(b.feature_ids) == a.num_nodes
-    for x, y in zip(a.feature_ids + a.feature_weights, b.feature_ids + b.feature_weights):
-        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert len(a.bag_offsets) == len(b.bag_offsets) == a.num_nodes + 1
+    assert a.bag_offsets[-1] == len(a.bag_ids) == len(a.bag_weights)
+    for u in range(a.num_nodes):
+        for x, y in zip(a.bag(u), b.bag(u)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 @st.composite

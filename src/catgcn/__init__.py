@@ -21,7 +21,7 @@ from .data import (
 )
 from .graph import CsrMatrix, DegreeVector, build_adjacency, normalize_sym, propagate, spmm
 from .interaction import artificial_propagate, forward_all_nodes, local_biinteraction
-from .model import ModelOutput, ModelParams, model_forward, predict
+from .model import ModelParams, model_forward, predict
 from .oracle import (
     SpectralReport,
     TheoremCertificate,

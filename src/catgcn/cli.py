@@ -21,22 +21,20 @@ from .data import (
     dataset_fingerprint,
     generate_synthetic,
     load_dataset,
-    make_split,
-    sample_features,
     write_dataset,
 )
-from .graph import build_adjacency, normalize_sym
-from .model import model_forward
+from .model import ModelParams, model_forward, param_shapes
 from .oracle import certify_theorem, run_verification, spectrum_check
 from .training import (
     GRID_AXES,
     TrainConfig,
     TrainingDiverged,
     default_grids,
-    evaluate,
     grid_cells,
     grid_search,
     held_out_metrics,
+    run_inputs,
+    split_scores,
     train,
 )
 
@@ -220,10 +218,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_fits(path: str, params, dataset) -> None:
-    """DataError naming `path` unless the checkpoint covers the dataset's ids."""
-    rows = params.embedding.data.shape[0]
-    classes = params.b_l.data.shape[0]
+def _check_fits(path: str, params, config, dataset) -> None:
+    """DataError naming `path` unless every checkpoint tensor has the shape its
+    config implies (the hidden pairs present iff deep_projection) and the
+    checkpoint covers the dataset's ids.
+
+    The feature and class counts are the embedding rows and the length of b_l.
+    """
+    have = {n: t.data.shape for n, t in params.named_tensors().items()}
+    rows = have["embedding"][0] if have["embedding"] else 0
+    classes = have["b_l"][0] if have["b_l"] else 0
+    want = param_shapes(rows, classes, config)
+    for name in ModelParams._ORDER:
+        if have.get(name) != want.get(name):
+            got = "is missing" if name not in have else f"has shape {list(have[name])}"
+            implied = "no such section" if name not in want else list(want[name])
+            raise DataError(f"{path}: checkpoint section {name!r} {got}, "
+                            f"its config implies {implied}")
     if dataset.num_features > rows:
         raise DataError(f"{path}: checkpoint embeds {rows} features but the dataset has "
                         f"{dataset.num_features}")
@@ -236,22 +247,9 @@ def cmd_eval(args) -> int:
     params, config_dict, _ = load_checkpoint(args.checkpoint)
     config = _stored_config(args.checkpoint, "checkpoint", config_dict)
     dataset = load_dataset(args.edges, args.features, args.labels)
-    _check_fits(args.checkpoint, params, dataset)
-    adj = build_adjacency(dataset.edges, dataset.num_nodes)
-    norm_adj, _ = normalize_sym(adj)
-    split = make_split(dataset, config.seed)
-    sample = sample_features(dataset, config.n_f, config.seed)
-    output = model_forward(params, sample, norm_adj, config)
-    test_acc, test_f1 = evaluate(output, dataset.labels, split.test_ids)
-    val_acc, val_f1 = evaluate(output, dataset.labels, split.val_ids)
-    _emit(
-        {
-            "test_accuracy": test_acc,
-            "test_macro_f1": test_f1,
-            "val_accuracy": val_acc,
-            "val_macro_f1": val_f1,
-        }
-    )
+    _check_fits(args.checkpoint, params, config, dataset)
+    norm_adj, split, sample = run_inputs(dataset, config)
+    _emit(split_scores(model_forward(params, sample, norm_adj, config), dataset.labels, split))
     return 0
 
 
@@ -262,6 +260,8 @@ def cmd_grid(args) -> int:
         spec, caster = getattr(args, f"{axis}_grid"), _PARSERS[_CONFIG_FIELDS[axis].type]
         if spec is not None:
             grids[axis] = [caster(tok) for tok in spec.split(",") if tok.strip() != ""]
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     grid_cells(grids, config)  # every cell's config is checked before any file is read
     dataset = load_dataset(args.edges, args.features, args.labels)
     result_rows, best_idx = grid_search(dataset, grids, config, jobs=args.jobs)
@@ -367,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     for axis in GRID_AXES:
         p_grid.add_argument(f"--{axis.replace('_', '-')}-grid", default=None,
                             metavar="V1,V2,...")
-    p_grid.add_argument("--jobs", type=int, default=1)
+    p_grid.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, at most one per cell")
     p_grid.add_argument("--out-dir", default=".")
     p_grid.set_defaults(fn=cmd_grid)
 

@@ -62,10 +62,15 @@ class ModelParams:
         return ModelParams(**kw)
 
 
-@dataclass
-class ModelOutput:
-    y: np.ndarray  # (N, C) after hops of propagation
-    probs: np.ndarray  # (N, C) row softmax of y
+def param_shapes(num_features: int, num_classes: int, config: TrainConfig) -> dict:
+    """The shape of every tensor of a model, by name in `ModelParams` order;
+    the hidden pairs only with `deep_projection`. Init and checkpoint checks read it."""
+    e, h, c = config.d_emb, config.d_hidden, num_classes
+    shapes = {"embedding": (num_features, e), "w_conv": (e, h), "w_g": (h, c), "b_g": (c,),
+              "w_l": (h if config.deep_projection else e, c), "b_l": (c,)}
+    if config.deep_projection:
+        shapes.update(w_g_hidden=(h, h), b_g_hidden=(h,), w_l_hidden=(e, h), b_l_hidden=(h,))
+    return shapes
 
 
 def dropout_mask(shape, rate: float, seed: int, epoch: int, site_idx: int = 0) -> np.ndarray:
@@ -79,8 +84,9 @@ def dropout_mask(shape, rate: float, seed: int, epoch: int, site_idx: int = 0) -
     return keep / (1.0 - rate)
 
 
-def _dropout_masks(config: TrainConfig, seed: int, epoch: int):
-    """The `dropout(site, shape)` callable of `forward_all_nodes`, or None without dropout."""
+def epoch_dropout(config: TrainConfig, epoch: int):
+    """The `dropout(site, shape)` callable of `forward_all_nodes` for training
+    epoch `epoch`, its masks drawn from (config.seed, epoch); None without dropout."""
     if config.dropout <= 0.0:
         return None
     sites = {"embedding": (0,), "projections": (1, 2), "both": (0, 1, 2)}[config.dropout_site]
@@ -88,38 +94,30 @@ def _dropout_masks(config: TrainConfig, seed: int, epoch: int):
     def masks(site: int, shape) -> Tensor | None:
         if site not in sites:
             return None
-        return Tensor(dropout_mask(shape, config.dropout, seed, epoch, site_idx=site))
+        return Tensor(dropout_mask(shape, config.dropout, config.seed, epoch, site_idx=site))
 
     return masks
 
 
-def taped_forward(
-    tape: Tape,
-    params: ModelParams,
-    sample,
-    norm_adj: CsrMatrix,
-    config: TrainConfig,
-    dropout_seed: int = 0,
-    epoch: int = 0,
-    train: bool = True,
-):
+def taped_forward(tape: Tape, params: ModelParams, sample, norm_adj: CsrMatrix,
+                  config: TrainConfig, dropout=None) -> Tensor:
     """Record the forward pass on `tape`; returns the propagated logits tensor.
 
-    Dropout applies only with `train`, its masks drawn from (dropout_seed, epoch).
+    `dropout` is the mask callable of `forward_all_nodes` (see `epoch_dropout`);
+    None drops nothing.
     """
-    dropout = _dropout_masks(config, dropout_seed, epoch) if train else None
     h = forward_all_nodes(params.embedding, params, config, sample, tape, dropout)
     return tape.sparse_propagate(norm_adj, h, config.hops)
 
 
 def model_forward(params: ModelParams, sample, norm_adj: CsrMatrix,
-                  config: TrainConfig) -> ModelOutput:
-    """Evaluation forward: `taped_forward` without dropout on the parameter
-    arrays wrapped as constant tensors, so the tape records nothing, keeps no
-    intermediate alive, and the per-node stage runs in blocks of nodes."""
+                  config: TrainConfig) -> np.ndarray:
+    """Evaluation forward, returning the (N, C) propagated logits: `taped_forward`
+    without dropout on the parameter arrays wrapped as constant tensors, so the
+    tape records nothing, keeps no intermediate alive, and the per-node stage
+    runs in blocks of nodes."""
     constants = ModelParams(**{n: Tensor(t.data) for n, t in params.named_tensors().items()})
-    y = taped_forward(Tape(), constants, sample, norm_adj, config, train=False).data
-    return ModelOutput(y=y, probs=softmax_rows(y))
+    return taped_forward(Tape(), constants, sample, norm_adj, config).data
 
 
 def taped_loss(tape: Tape, y: Tensor, labels, mask, eta: float, params: ModelParams) -> Tensor:
@@ -135,21 +133,22 @@ def taped_loss(tape: Tape, y: Tensor, labels, mask, eta: float, params: ModelPar
     return loss
 
 
-def predict(output: ModelOutput) -> np.ndarray:
-    """Row argmax of the probabilities; ties resolve to the smallest class index."""
-    return output.probs.argmax(axis=1).astype(np.int64)
+def predict(logits: np.ndarray) -> np.ndarray:
+    """Row argmax of the row softmax of `logits`; ties, exact ones and those the
+    softmax rounds into being, resolve to the smallest class index."""
+    return softmax_rows(logits).argmax(axis=1).astype(np.int64)
 
 
-def training_step(params, sample, norm_adj, config, labels, train_ids, eta,
-                  dropout_seed: int = 0, epoch: int = 0):
-    """One taped forward/backward; returns (loss value, gradient dict, logits).
+def training_step(params, sample, norm_adj, config, labels, train_ids, epoch: int = 0):
+    """One taped forward/backward of training epoch `epoch`; returns (loss
+    value, gradient dict, logits). The L2 weight is `config.eta`, the dropout
+    masks are drawn from (config.seed, epoch).
 
     The logits are the taped forward's propagated output (N, C); with dropout
-    off they are `model_forward(...).y`, the same forward on the same parameters.
+    off they are `model_forward`'s, the same forward on the same parameters.
     """
     tape = Tape()
-    y = taped_forward(tape, params, sample, norm_adj, config,
-                      dropout_seed=dropout_seed, epoch=epoch, train=True)
-    lt = taped_loss(tape, y, labels, train_ids, eta, params)
+    y = taped_forward(tape, params, sample, norm_adj, config, epoch_dropout(config, epoch))
+    lt = taped_loss(tape, y, labels, train_ids, config.eta, params)
     grads = backward(tape, lt)
     return lt.item(), grads, y.data

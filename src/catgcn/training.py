@@ -10,16 +10,10 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .autodiff import Tensor, masked_ce_mean, softmax_rows
+from .autodiff import Tensor, masked_ce_mean
 from .data import RawDataset, make_split, sample_features
 from .graph import build_adjacency, normalize_sym
-from .model import (
-    ModelOutput,
-    ModelParams,
-    model_forward,
-    predict,
-    training_step,
-)
+from .model import ModelParams, model_forward, param_shapes, predict, training_step
 from .rng import XAVIER, derive_cell_seed, stream_rng
 
 
@@ -120,34 +114,19 @@ class TrainingDiverged(RuntimeError):
 def xavier_init(num_features: int, num_classes: int, config: TrainConfig) -> ModelParams:
     """Uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero biases, fixed draw order.
 
-    The embedding table counts fan_in=num_features, fan_out=d_emb.
+    A weight's fan_in and fan_out are its rows and columns (the embedding
+    table: num_features and d_emb); tensors draw in `ModelParams` order.
     """
     rng = stream_rng(config.seed, XAVIER)
 
-    def draw(fan_in, fan_out, shape=None):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return Tensor(rng.uniform(-limit, limit, size=shape or (fan_in, fan_out)),
-                      requires_grad=True)
+    def init(shape):
+        if len(shape) == 1:
+            return np.zeros(shape)
+        limit = np.sqrt(6.0 / sum(shape))
+        return rng.uniform(-limit, limit, size=shape)
 
-    def zeros(n):
-        return Tensor(np.zeros(n), requires_grad=True)
-
-    d_proj_l = config.d_hidden if config.deep_projection else config.d_emb
-    d_proj_g = config.d_hidden
-    params = ModelParams(
-        embedding=draw(num_features, config.d_emb),
-        w_conv=draw(config.d_emb, config.d_hidden),
-        w_g=draw(d_proj_g, num_classes),
-        b_g=zeros(num_classes),
-        w_l=draw(d_proj_l, num_classes),
-        b_l=zeros(num_classes),
-    )
-    if config.deep_projection:
-        params.w_g_hidden = draw(config.d_hidden, config.d_hidden)
-        params.b_g_hidden = zeros(config.d_hidden)
-        params.w_l_hidden = draw(config.d_emb, config.d_hidden)
-        params.b_l_hidden = zeros(config.d_hidden)
-    return params
+    shapes = param_shapes(num_features, num_classes, config)
+    return ModelParams(**{n: Tensor(init(s), requires_grad=True) for n, s in shapes.items()})
 
 
 @dataclass
@@ -212,12 +191,27 @@ def accuracy_macro_f1(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> 
     return float((pred == truth).mean()), float(np.mean(f1))
 
 
-def evaluate(output: ModelOutput, labels: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    """(accuracy, macro-F1) of the argmax predictions over the masked nodes."""
-    mask = np.asarray(mask, dtype=np.int64)
-    pred = predict(output)[mask]
-    truth = np.asarray(labels, dtype=np.int64)[mask]
-    return accuracy_macro_f1(pred, truth, int(output.probs.shape[1]))
+def evaluate(logits: np.ndarray, labels: np.ndarray, ids: np.ndarray) -> tuple[float, float]:
+    """(accuracy, macro-F1) of the predictions for nodes `ids` from the (N, C) logits.
+
+    Only those rows are softmaxed; the softmax is row-wise, so each row's
+    probabilities are the bits a softmax of all N rows gives.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    truth = np.asarray(labels, dtype=np.int64)[ids]
+    return accuracy_macro_f1(predict(logits[ids]), truth, int(logits.shape[1]))
+
+
+def split_scores(logits: np.ndarray, labels: np.ndarray, split) -> dict:
+    """Accuracy and macro-F1 on the test and validation nodes of `split`."""
+    test_acc, test_f1 = evaluate(logits, labels, split.test_ids)
+    val_acc, val_f1 = evaluate(logits, labels, split.val_ids)
+    return {
+        "test_accuracy": test_acc,
+        "test_macro_f1": test_f1,
+        "val_accuracy": val_acc,
+        "val_macro_f1": val_f1,
+    }
 
 
 class EarlyStopper:
@@ -239,17 +233,20 @@ class EarlyStopper:
         return epoch - self.best_epoch >= self.patience
 
 
-def _logit_output(logits: np.ndarray) -> ModelOutput:
-    """The eval output for propagated logits, probabilities computed as model_forward does."""
-    return ModelOutput(y=logits, probs=softmax_rows(logits))
-
-
-def _monitor_value(config, output, labels, val_ids, val_acc, val_f1) -> float:
+def _monitor_value(config, logits, labels, val_ids, val_acc, val_f1) -> float:
     if config.monitor == "accuracy":
         return val_acc
     if config.monitor == "loss":
-        return -masked_ce_mean(output.y, labels, val_ids)
+        return -masked_ce_mean(logits, labels, val_ids)
     return val_f1
+
+
+def run_inputs(dataset: RawDataset, config: TrainConfig):
+    """(normalized adjacency, split, base feature sample) of a run: what `train`
+    trains and scores on and what `catgcn eval` scores a checkpoint on."""
+    norm_adj, _ = normalize_sym(build_adjacency(dataset.edges, dataset.num_nodes))
+    return (norm_adj, make_split(dataset, config.seed),
+            sample_features(dataset, config.n_f, config.seed))
 
 
 def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResult:
@@ -263,15 +260,12 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
     dropout, so without dropout and without `resample_per_epoch` step t+1's
     taped forward is the eval forward on the parameters epoch t's update
     left: epoch t is scored from its logits, and the only `model_forward`
-    runs after the last epoch. An early stop at epoch t therefore runs step
+    scores the last epoch. An early stop at epoch t therefore runs step
     t+1 for its forward alone. With dropout or resampling the training step's
     forward applies masks or another sample, and every epoch runs its own
     `model_forward` after its update.
     """
-    adj = build_adjacency(dataset.edges, dataset.num_nodes)
-    norm_adj, _ = normalize_sym(adj)
-    split = make_split(dataset, config.seed)
-    sample = sample_features(dataset, config.n_f, config.seed)
+    norm_adj, split, sample = run_inputs(dataset, config)
     params = xavier_init(dataset.num_features, dataset.num_classes, config)
     state = init_adam(params)
     labels = dataset.labels
@@ -289,8 +283,7 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
         `scoring_start`, so the record never includes another epoch's step.
         """
         nonlocal best_params, best_logits
-        output = _logit_output(logits)
-        val_acc, val_f1 = evaluate(output, labels, split.val_ids)
+        val_acc, val_f1 = evaluate(logits, labels, split.val_ids)
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -302,7 +295,7 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
         )
         if progress is not None:
             progress(records[-1])
-        if stopper.update(_monitor_value(config, output, labels, split.val_ids, val_acc, val_f1),
+        if stopper.update(_monitor_value(config, logits, labels, split.val_ids, val_acc, val_f1),
                           epoch):
             best_params, best_logits = params.copy(), logits
         return stopper.should_stop(epoch)
@@ -316,8 +309,7 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
                 dataset, config.n_f, derive_cell_seed(config.seed, epoch)
             )
         loss_value, grads, logits = training_step(
-            params, epoch_sample, norm_adj, config, labels, split.train_ids,
-            config.eta, dropout_seed=config.seed, epoch=epoch,
+            params, epoch_sample, norm_adj, config, labels, split.train_ids, epoch=epoch
         )
         # close the previous epoch first: if it stops training, this step ran
         # only for its forward, and its loss must not count as a divergence
@@ -327,17 +319,14 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
             raise TrainingDiverged(epoch, records)
         adam_step(params, grads, state, config.learning_rate)
         pending = (epoch, loss_value, time.monotonic() - t0)
-        if not reuse_taped:
+        # reusing taped logits, the next step scores this update; the last
+        # update has no next step
+        if not reuse_taped or epoch == config.max_epochs:
             scoring_start = time.monotonic()
-            logits = model_forward(params, sample, norm_adj, config).y
+            logits = model_forward(params, sample, norm_adj, config)
             if close_epoch(*pending, scoring_start, logits):
                 break
             pending = None
-    else:
-        if pending is not None:  # the last update has no next step to score it
-            scoring_start = time.monotonic()
-            logits = model_forward(params, sample, norm_adj, config).y
-            close_epoch(*pending, scoring_start, logits)
 
     return TrainResult(
         params=best_params,
@@ -353,7 +342,7 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
 
 
 def held_out_metrics(result: TrainResult, dataset: RawDataset) -> dict:
-    """Accuracy and macro-F1 of the returned parameters on the held-out test split.
+    """`split_scores` of the returned parameters, plus `best_epoch` and `epochs_run`.
 
     Scores the selected epoch's validation logits that `train` kept, which
     are `model_forward`'s logits for the returned parameters; a result without
@@ -362,15 +351,9 @@ def held_out_metrics(result: TrainResult, dataset: RawDataset) -> dict:
     """
     logits = result.val_logits
     if logits is None:
-        logits = model_forward(result.params, result.sample, result.norm_adj, result.config).y
-    output = _logit_output(logits)
-    acc, f1 = evaluate(output, dataset.labels, result.split.test_ids)
-    val_acc, val_f1 = evaluate(output, dataset.labels, result.split.val_ids)
+        logits = model_forward(result.params, result.sample, result.norm_adj, result.config)
     return {
-        "test_accuracy": acc,
-        "test_macro_f1": f1,
-        "val_accuracy": val_acc,
-        "val_macro_f1": val_f1,
+        **split_scores(logits, dataset.labels, result.split),
         "best_epoch": result.best_epoch,
         "epochs_run": len(result.records),
     }
@@ -397,6 +380,9 @@ def grid_cells(grids: dict, base: TrainConfig) -> list[TrainConfig]:
     unknown = set(grids) - set(GRID_AXES)
     if unknown:
         raise ValueError(f"unknown grid axes: {sorted(unknown)}")
+    empty = [a for a in axes if len(grids[a]) == 0]
+    if empty:
+        raise ValueError(f"grid axes without values: {empty}")
     cells = []
     for idx, combo in enumerate(itertools.product(*(grids[a] for a in axes))):
         cells.append(
@@ -435,15 +421,16 @@ def grid_search(dataset: RawDataset, grids: dict, base: TrainConfig, jobs: int =
 
     Selection is by validation macro-F1, ties resolved to the earliest cell.
     Results are identical for any `jobs` because cells are independent and
-    deterministically seeded.
+    deterministically seeded. At most `jobs` worker processes run, and no more
+    than there are cells; one runs every cell in this process.
     """
-    cells = grid_cells(grids, base)
-    tasks = list(enumerate(cells))
-    if jobs <= 1:
+    tasks = list(enumerate(grid_cells(grids, base)))
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         _grid_init(dataset)
         results = [_grid_worker(t) for t in tasks]
     else:
-        with multiprocessing.Pool(jobs, initializer=_grid_init, initargs=(dataset,)) as pool:
+        with multiprocessing.Pool(workers, initializer=_grid_init, initargs=(dataset,)) as pool:
             results = pool.map(_grid_worker, tasks)
     best_idx = None
     best_f1 = -1.0

@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from catgcn.autodiff import masked_ce_mean, softmax_rows
+from catgcn.autodiff import masked_ce_mean
 from catgcn.graph import propagate
 from catgcn.interaction import artificial_propagate, local_biinteraction
-from catgcn.model import ModelOutput, dropout_mask
+from catgcn.model import dropout_mask
 
 
 @dataclass
@@ -100,21 +100,21 @@ def forward_all_nodes(table: np.ndarray, params: InteractionParams, config, samp
 
 
 def model_forward(params, sample, norm_adj, config, mode: str = "eval",
-                  dropout_seed: int = 0, epoch: int = 0) -> ModelOutput:
-    """Pure-numpy forward. Train mode applies dropout; eval never does."""
+                  epoch: int = 0) -> np.ndarray:
+    """Pure-numpy forward, returning the propagated logits. Train mode applies
+    dropout, its masks drawn from (config.seed, epoch); eval never does."""
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "train" and config.dropout > 0.0:
         table = params.embedding.data
         e = table[sample.ids] * sample.weights[..., None]
-        masks = _masks_for(e.shape, config, dropout_seed, epoch)
+        masks = _masks_for(e.shape, config, config.seed, epoch)
         if masks["embedding"] is not None:
             e = e * masks["embedding"]
         h = _fused_h_numpy(e, interaction_view(params), config, masks)
     else:
         h = forward_all_nodes(params.embedding.data, interaction_view(params), config, sample)
-    y = propagate(norm_adj, h, config.hops)
-    return ModelOutput(y=y, probs=softmax_rows(y))
+    return propagate(norm_adj, h, config.hops)
 
 
 def _masks_for(e_shape, config, seed: int, epoch: int) -> dict:
@@ -155,9 +155,9 @@ def _fused_h_numpy(e, iparams, config, masks):
     return fuse(h_l, h_g, iparams, config)
 
 
-def loss(output: ModelOutput, labels, mask, eta: float, params) -> float:
-    """Reporting-path loss on an eval output; matches the taped value."""
-    value = masked_ce_mean(output.y, np.asarray(labels, dtype=np.int64), mask)
+def loss(logits: np.ndarray, labels, mask, eta: float, params) -> float:
+    """Reporting-path loss on eval logits; matches the taped value."""
+    value = masked_ce_mean(logits, np.asarray(labels, dtype=np.int64), mask)
     if eta != 0.0:
         reg = 0.0
         for t in params.named_tensors().values():

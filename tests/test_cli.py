@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 
+from catgcn.autodiff import Tensor
+from catgcn.checkpoint import load_checkpoint, save_checkpoint
 from catgcn.cli import _resolve_config, build_parser, main
 from catgcn.training import TrainConfig
 
@@ -83,21 +85,25 @@ def test_train_twice_is_bit_identical(dataset_dir, tmp_path, capsys):
 
 
 def test_eval_reproduces_train_metrics(dataset_dir, tmp_path, capsys):
-    out_dir = tmp_path / "run"
-    code, out, _ = run(
-        capsys, "train", *data_args(dataset_dir), "--max-epochs", "4", "--d-emb", "8",
-        "--d-hidden", "8", "--n-f", "6", "--seed", "5", "--quiet",
-        "--out-dir", str(out_dir),
-    )
-    train_metrics = json.loads(out)
-    code, out, _ = run(
-        capsys, "eval", "--checkpoint", str(out_dir / "checkpoint.bin"),
-        *data_args(dataset_dir),
-    )
-    assert code == 0
-    eval_metrics = json.loads(out)
-    assert eval_metrics["test_accuracy"] == train_metrics["test_accuracy"]
-    assert eval_metrics["test_macro_f1"] == train_metrics["test_macro_f1"]
+    # dropout and resampling make training's taped forward differ from the eval forward
+    for i, extra in enumerate([[], ["--dropout", "0.3"], ["--resample-per-epoch", "true"]]):
+        out_dir = tmp_path / f"run{i}"
+        code, out, _ = run(
+            capsys, "train", *data_args(dataset_dir), "--max-epochs", "4", "--d-emb", "8",
+            "--d-hidden", "8", "--n-f", "6", "--seed", "5", "--quiet", *extra,
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0, extra
+        train_metrics = json.loads(out)
+        code, out, _ = run(
+            capsys, "eval", "--checkpoint", str(out_dir / "checkpoint.bin"),
+            *data_args(dataset_dir),
+        )
+        assert code == 0, extra
+        eval_metrics = json.loads(out)
+        assert set(eval_metrics) == {"test_accuracy", "test_macro_f1", "val_accuracy",
+                                     "val_macro_f1"}
+        assert eval_metrics == {k: train_metrics[k] for k in eval_metrics}, extra
 
 
 def test_replay_reproduces_artifacts(dataset_dir, tmp_path, capsys):
@@ -323,6 +329,30 @@ def test_checkpoint_that_does_not_fit_the_dataset_is_data_error(
     assert f"{small_checkpoint}: {message}" in err
 
 
+# the small checkpoint: 40 features, 3 classes, d_emb = d_hidden = 8, no hidden pairs
+@pytest.mark.parametrize("tensors, config, message", [
+    ({"w_l": lambda a: np.vstack([a, a[:1]])}, {},
+     "checkpoint section 'w_l' has shape [9, 3], its config implies [8, 3]"),
+    ({"b_g": lambda a: np.concatenate([a, a[:2]])}, {},
+     "checkpoint section 'b_g' has shape [5], its config implies [3]"),
+    ({}, {"d_emb": 11},
+     "checkpoint section 'embedding' has shape [40, 8], its config implies [40, 11]"),
+    ({}, {"deep_projection": True},
+     "checkpoint section 'w_g_hidden' is missing, its config implies [8, 8]"),
+], ids=["w_l-extra-row", "b_g-longer", "d_emb-wider-than-tensors", "hidden-pairs-missing"])
+def test_checkpoint_that_does_not_fit_its_config_is_data_error(
+        small_checkpoint, dataset_dir, tmp_path, capsys, tensors, config, message):
+    # a whole, well-formed checkpoint whose tensors its own config does not describe
+    params, stored, seed = load_checkpoint(str(small_checkpoint))
+    for name, edit in tensors.items():
+        setattr(params, name, Tensor(edit(getattr(params, name).data)))
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(str(bad), params, {**stored, **config}, seed)
+    code, _, err = run(capsys, "eval", "--checkpoint", str(bad), *data_args(dataset_dir))
+    assert code == 3
+    assert f"{bad}: {message}" in err
+
+
 @pytest.mark.parametrize("flag, value, expected", [
     ("--learning-rate", "nan", "learning_rate"),
     ("--dropout", "inf", "dropout"),
@@ -346,11 +376,13 @@ def test_grid_with_a_bad_cell_is_usage_error_before_training(tmp_path, capsys, m
     calls = []
     monkeypatch.setattr("catgcn.training.train", lambda *a, **k: calls.append(a))
     # the dataset paths do not exist: every cell is checked before any file is read
-    code, _, err = run(capsys, "grid", "--edges", "/no/e", "--features", "/no/f",
-                       "--labels", "/no/l", "--alpha-grid", "0.5,0.5,0.5,1.5",
-                       "--out-dir", str(tmp_path))
-    assert code == 2
-    assert "error: alpha must lie in [0, 1], got 1.5" in err
+    for spec, message in [("0.5,0.5,0.5,1.5", "error: alpha must lie in [0, 1], got 1.5"),
+                          (",", "error: grid axes without values: ['alpha']")]:
+        code, _, err = run(capsys, "grid", "--edges", "/no/e", "--features", "/no/f",
+                           "--labels", "/no/l", "--alpha-grid", spec,
+                           "--out-dir", str(tmp_path))
+        assert code == 2, spec
+        assert message in err
     assert calls == []
     assert not (tmp_path / "grid.json").exists()
 
@@ -509,6 +541,16 @@ def test_grid_command_and_jobs_parity(dataset_dir, tmp_path, capsys):
     rows = json.loads((tmp_path / "g1/grid.json").read_text())
     assert len(rows) == 4
     assert best["best_val_macro_f1"] == max(r["best_val_macro_f1"] for r in rows)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_grid_jobs_below_one_is_usage_error_before_loading(tmp_path, capsys, jobs):
+    # the dataset paths do not exist: the flag is checked before any file is read
+    code, _, err = run(capsys, "grid", "--edges", "/no/e", "--features", "/no/f",
+                       "--labels", "/no/l", "--jobs", jobs, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert f"error: --jobs must be >= 1, got {jobs}" in err
+    assert not (tmp_path / "grid.json").exists()
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -18,8 +18,8 @@ from catgcn.checkpoint import load_checkpoint, save_checkpoint
 from catgcn.data import generate_synthetic, make_split, sample_features
 from catgcn.graph import build_adjacency, normalize_sym
 from catgcn.model import (
-    ModelOutput,
     dropout_mask,
+    epoch_dropout,
     model_forward,
     predict,
     taped_forward,
@@ -53,10 +53,7 @@ def mixed_weights(sample, seed):
 
 def test_eval_forward_shapes():
     ds, cfg, norm, sample, params = setup()
-    out = model_forward(params, sample, norm, cfg)
-    assert out.y.shape == (24, 3)
-    assert out.probs.shape == (24, 3)
-    assert np.allclose(out.probs.sum(axis=1), 1.0)
+    assert model_forward(params, sample, norm, cfg).shape == (24, 3)
 
 
 def test_taped_forward_matches_eval_bitwise():
@@ -65,13 +62,12 @@ def test_taped_forward_matches_eval_bitwise():
             ds, cfg, norm, sample, params = setup(alpha=alpha, hops=hops)
             out = model_forward(params, sample, norm, cfg)
             tape = Tape()
-            y = taped_forward(tape, params, sample, norm, cfg, train=True)
+            y = taped_forward(tape, params, sample, norm, cfg)
             ref = oracle.model_forward(params, sample, norm, cfg)
             # no dropout configured: training pass must equal eval and the
             # numpy composition bit for bit
-            assert np.array_equal(y.data, out.y)
-            assert np.array_equal(out.y, ref.y)
-            assert np.array_equal(out.probs, ref.probs)
+            assert np.array_equal(y.data, out)
+            assert np.array_equal(out, ref)
 
 
 def test_taped_forward_with_dropout_matches_numpy_mirror():
@@ -79,12 +75,11 @@ def test_taped_forward_with_dropout_matches_numpy_mirror():
         for route in (dict(alpha=0.5), dict(alpha=0.0), dict(alpha=1.0),
                       dict(variant="meanpool"), dict(deep_projection=True)):
             ds, cfg, norm, sample, params = setup(dropout=0.4, dropout_site=site, **route)
+            cfg = dataclasses.replace(cfg, seed=3)
             tape = Tape()
-            y = taped_forward(tape, params, sample, norm, cfg, dropout_seed=3, epoch=5,
-                              train=True)
-            out = oracle.model_forward(params, sample, norm, cfg, mode="train",
-                                       dropout_seed=3, epoch=5)
-            assert np.array_equal(y.data, out.y), (site, route)
+            y = taped_forward(tape, params, sample, norm, cfg, epoch_dropout(cfg, 5))
+            out = oracle.model_forward(params, sample, norm, cfg, mode="train", epoch=5)
+            assert np.array_equal(y.data, out), (site, route)
 
 
 def test_dropout_mask_values_and_determinism():
@@ -112,12 +107,11 @@ def test_dropout_rate_zero_is_identity_mask():
 def test_eval_mode_never_drops():
     ds, cfg, norm, sample, params = setup(dropout=0.9, dropout_site="both")
     out = model_forward(params, sample, norm, cfg)
-    undropped = taped_forward(Tape(), params, sample, norm, cfg, dropout_seed=99, epoch=7,
-                              train=False)
-    dropped = taped_forward(Tape(), params, sample, norm, cfg, dropout_seed=99, epoch=7,
-                            train=True)
-    assert np.array_equal(out.y, undropped.data)
-    assert not np.array_equal(out.y, dropped.data)
+    undropped = taped_forward(Tape(), params, sample, norm, cfg)
+    dropped = taped_forward(Tape(), params, sample, norm, cfg,
+                            epoch_dropout(dataclasses.replace(cfg, seed=99), 7))
+    assert np.array_equal(out, undropped.data)
+    assert not np.array_equal(out, dropped.data)
 
 
 def test_model_forward_records_nothing(monkeypatch):
@@ -134,7 +128,7 @@ def test_model_forward_records_nothing(monkeypatch):
     [(tape, y)] = seen
     assert tape._records == [] and y.tape is None
     assert not y.requires_grad and not y.needs_grad
-    assert isinstance(out.y, np.ndarray) and isinstance(out.probs, np.ndarray)
+    assert isinstance(out, np.ndarray)
     assert all(t.requires_grad for t in params.named_tensors().values())
 
 
@@ -163,7 +157,7 @@ def test_tape_keeps_only_what_backward_reads():
         tape = Spy()
         gc.disable()  # what is freed must be freed by reference counting alone
         try:
-            y = taped_forward(tape, params, sample, norm, cfg, train=True)
+            y = taped_forward(tape, params, sample, norm, cfg)
             assert set(refs) == {"gather_rows", "scale_rows", "relu"}
             assert refs["relu"]() is None
             if weights == "unit":
@@ -186,13 +180,11 @@ def test_tape_keeps_only_what_backward_reads():
             gc.enable()
 
 
-def reference_training_step(params, sample, norm, cfg, labels, train_ids, eta, dropout_seed,
-                            epoch):
+def reference_training_step(params, sample, norm, cfg, labels, train_ids, epoch):
     """`training_step` recorded and replayed on the reference tape."""
     tape = tape_oracle.Tape()
-    y = taped_forward(tape, params, sample, norm, cfg, dropout_seed=dropout_seed, epoch=epoch,
-                      train=True)
-    lt = taped_loss(tape, y, labels, train_ids, eta, params)
+    y = taped_forward(tape, params, sample, norm, cfg, epoch_dropout(cfg, epoch))
+    lt = taped_loss(tape, y, labels, train_ids, cfg.eta, params)
     return lt.item(), tape_oracle.backward(tape, lt), y.data
 
 
@@ -209,9 +201,9 @@ def reference_training_step(params, sample, norm, cfg, labels, train_ids, eta, d
 def test_training_step_is_bit_equal_to_reference_tape(route, extra):
     ds, cfg, norm, sample, params = setup(seed=2, rho=2.5, **route, **extra)
     split = make_split(ds, 2)
-    args = (params, sample, norm, cfg, ds.labels, split.train_ids, cfg.eta)
-    loss, grads, y = training_step(*args, dropout_seed=3, epoch=5)
-    ref_loss, ref_grads, ref_y = reference_training_step(*args, dropout_seed=3, epoch=5)
+    args = (params, sample, norm, dataclasses.replace(cfg, seed=3), ds.labels, split.train_ids)
+    loss, grads, y = training_step(*args, epoch=5)
+    ref_loss, ref_grads, ref_y = reference_training_step(*args, epoch=5)
     assert loss == ref_loss
     assert y.tobytes() == ref_y.tobytes()
     assert list(grads) == list(ref_grads)  # same leaves, reached in the same order
@@ -227,9 +219,9 @@ def test_training_step_leaves_inputs_and_logits_unchanged():
         split = make_split(ds, 4)
         before = {n: t.data.copy() for n, t in params.named_tensors().items()}
         sample_before = (sample.ids.copy(), sample.weights.copy())
-        _, grads, y = training_step(params, sample, norm, cfg, ds.labels, split.train_ids,
-                                    0.01)
-        assert y.tobytes() == model_forward(params, sample, norm, cfg).y.tobytes()
+        _, grads, y = training_step(params, sample, norm, dataclasses.replace(cfg, eta=0.01),
+                                    ds.labels, split.train_ids)
+        assert y.tobytes() == model_forward(params, sample, norm, cfg).tobytes()
         for n, t in params.named_tensors().items():
             assert t.data.tobytes() == before[n].tobytes(), n
         assert np.array_equal(sample.ids, sample_before[0])
@@ -249,7 +241,7 @@ def test_training_step_peak_memory():
     sample = sample_features(ds, n_f, 1)
     params = xavier_init(ds.num_features, ds.num_classes, cfg)
     split = make_split(ds, 1)
-    args = (params, sample, norm, cfg, ds.labels, split.train_ids, 0.0)
+    args = (params, sample, norm, cfg, ds.labels, split.train_ids)
     training_step(*args)  # warm up lazy imports and caches outside the measurement
     tracemalloc.start()
     try:
@@ -300,13 +292,13 @@ def test_eval_in_node_blocks_is_bit_equal_to_training_logits(monkeypatch, overri
         return gather(tape, table, ids)
 
     monkeypatch.setattr(Tape, "gather_rows", spy)
-    y = model_forward(params, sample, norm, cfg).y
+    y = model_forward(params, sample, norm, cfg)
     assert blocks == [7, 7, 7, 3]
     blocks.clear()
 
     # the taped forward runs one block of all nodes, with the parent's records
     tape = Tape()
-    y_taped = taped_forward(tape, params, sample, norm, cfg, train=True)
+    y_taped = taped_forward(tape, params, sample, norm, cfg)
     loss = taped_loss(tape, y_taped, ds.labels, split.train_ids, cfg.eta, params)
     assert blocks == [24]
     ops = [vjp.__qualname__.split(".")[1] for _, _, vjp in tape._records]
@@ -315,8 +307,8 @@ def test_eval_in_node_blocks_is_bit_equal_to_training_logits(monkeypatch, overri
     names = {id(t): n for n, t in params.named_tensors().items()}
     assert [names[id(t)] for t in grads] == f"{leaves} embedding".split()
     assert y.tobytes() == y_taped.data.tobytes()
-    assert y.tobytes() == training_step(params, sample, norm, cfg, ds.labels, split.train_ids,
-                                        cfg.eta)[2].tobytes()
+    assert y.tobytes() == training_step(params, sample, norm, cfg, ds.labels,
+                                        split.train_ids)[2].tobytes()
 
 
 def test_eval_forward_peak_memory_stays_below_one_embedded_array():
@@ -346,7 +338,7 @@ def test_loss_reporting_matches_taped():
     split = make_split(ds, 0)
     for eta in (0.0, 0.01):
         tape = Tape()
-        y = taped_forward(tape, params, sample, norm, cfg, train=True)
+        y = taped_forward(tape, params, sample, norm, cfg)
         lt = taped_loss(tape, y, ds.labels, split.train_ids, eta, params)
         out = oracle.model_forward(params, sample, norm, cfg, mode="eval")
         assert oracle.loss(out, ds.labels, split.train_ids, eta, params) == pytest.approx(
@@ -357,11 +349,9 @@ def test_loss_reporting_matches_taped():
 def test_regularizer_covers_every_trainable_tensor():
     ds, cfg, norm, sample, params = setup(alpha=0.5)
     split = make_split(ds, 0)
-    _, grads_without, _ = training_step(
-        params, sample, norm, cfg, ds.labels, split.train_ids, eta=0.0
-    )
+    _, grads_without, _ = training_step(params, sample, norm, cfg, ds.labels, split.train_ids)
     _, grads_with, _ = training_step(
-        params, sample, norm, cfg, ds.labels, split.train_ids, eta=0.1
+        params, sample, norm, dataclasses.replace(cfg, eta=0.1), ds.labels, split.train_ids
     )
     for name, t in params.named_tensors().items():
         g0 = grads_without.get(t, np.zeros_like(t.data))
@@ -370,31 +360,27 @@ def test_regularizer_covers_every_trainable_tensor():
 
 
 def test_predict_tie_breaks_to_lowest_class():
-    probs = np.array([[0.4, 0.4, 0.2], [0.1, 0.45, 0.45]])
-    out = ModelOutput(y=probs, probs=probs)
-    assert np.array_equal(predict(out), [0, 1])
+    # the last row's logits differ, but their probabilities round to a tie
+    logits = np.array([[0.4, 0.4, 0.2], [0.1, 0.45, 0.45], [0.0, 1e-17, -1.0]])
+    assert np.array_equal(predict(logits), [0, 1, 0])
 
 
 def test_alpha_zero_ignores_global_parameters():
     ds, cfg, norm, sample, params = setup(alpha=0.0)
     split = make_split(ds, 0)
-    _, grads, _ = training_step(
-        params, sample, norm, cfg, ds.labels, split.train_ids, eta=0.0
-    )
+    _, grads, _ = training_step(params, sample, norm, cfg, ds.labels, split.train_ids)
     assert params.w_conv not in grads
     assert params.w_g not in grads
     out1 = model_forward(params, sample, norm, cfg)
     params.w_conv.data += 100.0  # dead route: output must not move
     out2 = model_forward(params, sample, norm, cfg)
-    assert np.array_equal(out1.y, out2.y)
+    assert np.array_equal(out1, out2)
 
 
 def test_alpha_one_ignores_local_parameters():
     ds, cfg, norm, sample, params = setup(alpha=1.0)
     split = make_split(ds, 0)
-    _, grads, _ = training_step(
-        params, sample, norm, cfg, ds.labels, split.train_ids, eta=0.0
-    )
+    _, grads, _ = training_step(params, sample, norm, cfg, ds.labels, split.train_ids)
     assert params.w_l not in grads and params.b_l not in grads
     assert params.w_conv in grads
 
@@ -416,19 +402,19 @@ def test_meanpool_variant_uses_mean_embedding():
     out = model_forward(params, sample, norm, cfg)
     e = params.embedding.data[sample.ids] * sample.weights[..., None]
     expected = e.mean(axis=1) @ params.w_l.data + params.b_l.data
-    assert np.abs(out.y - expected).max() < 1e-14
+    assert np.abs(out - expected).max() < 1e-14
 
 
 def test_deep_projection_adds_hidden_layer():
     ds, cfg, norm, sample, params = setup(deep_projection=True, alpha=0.5)
     assert params.w_l_hidden is not None
     out = model_forward(params, sample, norm, cfg)
-    assert out.y.shape == (24, 3)
+    assert out.shape == (24, 3)
     tape = Tape()
-    y = taped_forward(tape, params, sample, norm, cfg, train=True)
-    assert np.array_equal(y.data, out.y)
+    y = taped_forward(tape, params, sample, norm, cfg)
+    assert np.array_equal(y.data, out)
     ref = oracle.model_forward(params, sample, norm, cfg, mode="eval")
-    assert np.array_equal(out.y, ref.y)
+    assert np.array_equal(out, ref)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -177,8 +177,8 @@ def test_train_returns_best_epoch_parameters():
     from catgcn.model import model_forward
     from catgcn.training import evaluate
 
-    out = model_forward(result.params, result.sample, result.norm_adj, cfg)
-    _, val_f1 = evaluate(out, ds.labels, result.split.val_ids)
+    logits = model_forward(result.params, result.sample, result.norm_adj, cfg)
+    _, val_f1 = evaluate(logits, ds.labels, result.split.val_ids)
     best_logged = max(r.val_macro_f1 for r in result.records)
     assert val_f1 == pytest.approx(best_logged, abs=1e-12)
 
@@ -335,6 +335,40 @@ def test_grid_search_identical_across_jobs():
     assert all(r["cell"] == i for i, r in enumerate(rows1))
 
 
+@pytest.mark.parametrize("jobs, alphas, pools", [
+    (1, [0.0, 0.5], []),  # one job runs every cell in this process
+    (8, [0.0, 0.5], [2]),
+    (3, [0.0, 0.25, 0.5, 1.0], [3]),
+])
+def test_grid_pool_starts_at_most_one_worker_per_cell(monkeypatch, jobs, alphas, pools):
+    import catgcn.training as training
+
+    sizes = []
+
+    class RecordingPool:
+        """Runs the tasks in this process and records the requested worker count."""
+
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(training.multiprocessing, "Pool", RecordingPool)
+    ds = generate_synthetic("homophily", 40, 20, 3, 4, 0.15, 0.02, seed=3)
+    base = TrainConfig(d_emb=4, d_hidden=4, n_f=4, max_epochs=2, seed=1)
+    rows, _ = grid_search(ds, {"alpha": alphas}, base, jobs=jobs)
+    assert sizes == pools
+    assert [r["cell"] for r in rows] == list(range(len(alphas)))
+
+
 def test_derive_cell_seed_distinct_and_stable():
     seeds = {derive_cell_seed(0, i) for i in range(2000)}
     assert len(seeds) == 2000
@@ -376,23 +410,22 @@ def reference_train(config: TrainConfig, dataset):
             epoch_sample = sample_features(dataset, config.n_f,
                                            derive_cell_seed(config.seed, epoch))
         loss_value, grads, _ = training_step(
-            params, epoch_sample, norm_adj, config, labels, split.train_ids,
-            config.eta, dropout_seed=config.seed, epoch=epoch,
+            params, epoch_sample, norm_adj, config, labels, split.train_ids, epoch=epoch
         )
         if not np.isfinite(loss_value):
             raise TrainingDiverged(epoch, records)
         adam_step(params, grads, state, config.learning_rate)
-        output = model_forward(params, sample, norm_adj, config)
-        val_acc, val_f1 = evaluate(output, labels, split.val_ids)
+        logits = model_forward(params, sample, norm_adj, config)
+        val_acc, val_f1 = evaluate(logits, labels, split.val_ids)
         records.append(EpochRecord(epoch, loss_value, val_acc, val_f1, wall_time_s=0.0))
-        if stopper.update(_monitor_value(config, output, labels, split.val_ids, val_acc, val_f1),
+        if stopper.update(_monitor_value(config, logits, labels, split.val_ids, val_acc, val_f1),
                           epoch):
             best_params = params.copy()
         if stopper.should_stop(epoch):
             break
-    output = model_forward(best_params, sample, norm_adj, config)
-    acc, f1 = evaluate(output, labels, split.test_ids)
-    val_acc, val_f1 = evaluate(output, labels, split.val_ids)
+    logits = model_forward(best_params, sample, norm_adj, config)
+    acc, f1 = evaluate(logits, labels, split.test_ids)
+    val_acc, val_f1 = evaluate(logits, labels, split.val_ids)
     held_out = {"test_accuracy": acc, "test_macro_f1": f1, "val_accuracy": val_acc,
                 "val_macro_f1": val_f1, "best_epoch": stopper.best_epoch,
                 "epochs_run": len(records)}

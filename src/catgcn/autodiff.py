@@ -1,28 +1,39 @@
 """Reverse-mode differentiation over an explicit tape.
 
-A Tape records each primitive in execution order; backward replays the records
+A Tape records each primitive in execution order; `replay` replays the records
 in exact reverse order and accumulates gradients additively. The primitive
 vocabulary is fixed and closed: everything the model trains is expressed with
 the ops below, so every backward rule is auditable in one place.
 
 A record keeps only what its backward rule reads: the tape-local node number
-of its output; for each input, its node number if this tape produced it, the
-Tensor itself if it is a leaf that requires a gradient (so `backward` can key
-the result), or None for a constant; and the vjp closure, which captures the
+of its output (a tuple of them for a record with several outputs); for each
+input, its node number if this tape produced it, the Tensor itself if it is a
+leaf that requires a gradient (so `replay` can key the result), or None for a
+constant; and the vjp closure, which captures the
 arrays and shapes its rule reads, never Tensors. An output no rule reads (the
 gathered embedding rows once weights other than 1.0 scale them, the global
-route's relu output) is freed as soon as the forward drops it. `backward`
+route's relu output) is freed as soon as the forward drops it. `replay`
 consumes the tape: it pops each record as it replays it, so a record's closure
 and the arrays it captured are freed once its gradient has been computed, and
 a replayed tape cannot be replayed again.
 
+A training step's tape lives from the forward to the end of its backward. It
+holds the pooled (N, d) rows of the per-node interaction stage, not the
+(N, n_f, d) arrays that stage computes: `interaction` records the stage as one
+record with one output per route (`Tape._emit_outputs`; its rule gets every
+output's gradient at once), whose rule recomputes the stage node block by node
+block on a short-lived block tape of its own. One loop, `replay`, replays both
+kinds of tape: `backward` starts it from the scalar loss (seed 1), the stage
+record from upstream gradients of non-scalar outputs (a block's slices of the
+routes' pooled-row gradients).
+
 A vjp rule returns, for each input, None, a fresh array, the upstream `g`
 itself, or a read-only view; it never returns an array its closure captured.
-`backward` relies on this contract to add a later contribution in place into an
+`replay` relies on this contract to add a later contribution in place into an
 accumulated gradient that it alone owns: a writeable array with no base, other
 than the upstream `g` of the rule that returned it, and returned by that rule
 once (`add` returns `(g, g)`). Any other accumulated gradient is summed into a
-new array, which backward then owns.
+new array, which the replay then owns.
 """
 
 from __future__ import annotations
@@ -82,6 +93,7 @@ class Tape:
 
     def __init__(self):
         self._records = []  # (node, keys, vjp); vjp(g) aligns with keys
+        self._nodes = 0  # node numbers handed out so far
         self._replayed = False
 
     def _key(self, t: Tensor):
@@ -92,14 +104,30 @@ class Tape:
         return t if t.requires_grad else None
 
     def _emit(self, out_data, inputs, vjp) -> Tensor:
-        if self._replayed:  # node numbers are record indices; the replay emptied the list
+        if self._replayed:  # the replay emptied the record list
             raise ValueError("tape already replayed")
         out = Tensor(out_data)
         out.needs_grad = any(t.needs_grad for t in inputs)
         if out.needs_grad:
-            out.tape, out.node = self, len(self._records)
+            out.tape, out.node = self, self._nodes
+            self._nodes += 1
             self._records.append((out.node, tuple(self._key(t) for t in inputs), vjp))
         return out
+
+    def _emit_outputs(self, outs_data, inputs, vjp) -> tuple:
+        """Record one rule with several outputs. The record's node is the tuple
+        of their node numbers, and `vjp` takes the tuple of their gradients,
+        None for an output no gradient reached."""
+        if self._replayed:
+            raise ValueError("tape already replayed")
+        outs = tuple(Tensor(d) for d in outs_data)
+        if any(t.needs_grad for t in inputs):
+            for out in outs:
+                out.needs_grad, out.tape, out.node = True, self, self._nodes
+                self._nodes += 1
+            self._records.append((tuple(out.node for out in outs),
+                                  tuple(self._key(t) for t in inputs), vjp))
+        return outs
 
     # -- primitives ---------------------------------------------------------
 
@@ -196,7 +224,7 @@ class Tape:
             out = np.bincount(slots.ravel(), weights=g.ravel(), minlength=d * k)
             return (out.reshape(d, k),)
 
-        return self._emit(table.data[ids], (table,), vjp)
+        return self._emit(table.data.take(ids, axis=0), (table,), vjp)
 
     def scale(self, x: Tensor, c: float) -> Tensor:
         c = float(c)
@@ -223,12 +251,13 @@ class Tape:
 
         return self._emit(x.data.sum(), (x,), vjp)
 
-    def biinteraction(self, e: Tensor) -> Tensor:
+    def biinteraction(self, e: Tensor, row_sum: np.ndarray | None = None) -> Tensor:
         """Pairwise-product pooling over rows; gradient at row i is (s - e_i) * g
         with s the row sum, because each row pairs with every other row once.
-        The forward computes s and the backward reuses it."""
+        The forward computes s, unless `row_sum` gives it, and the backward
+        reuses it."""
         ed = e.data
-        s = ed.sum(axis=-2)
+        s = ed.sum(axis=-2) if row_sum is None else row_sum
 
         def vjp(g):
             out = np.subtract(s[..., None, :], ed)
@@ -237,14 +266,15 @@ class Tape:
 
         return self._emit(local_biinteraction(ed, row_sum=s), (e,), vjp)
 
-    def artificial_prop(self, e: Tensor, rho: float) -> Tensor:
+    def artificial_prop(self, e: Tensor, rho: float, row_sum: np.ndarray | None = None) -> Tensor:
         """Probe-weighted row mixing; the operator is symmetric, so the backward
-        pass applies the same mixing to the upstream gradient."""
+        pass applies the same mixing to the upstream gradient. `row_sum` is
+        e's row sum when the caller has it."""
 
         def vjp(g):
             return (artificial_propagate(g, rho),)
 
-        return self._emit(artificial_propagate(e.data, rho), (e,), vjp)
+        return self._emit(artificial_propagate(e.data, rho, row_sum), (e,), vjp)
 
     def sparse_propagate(self, adj: graphmod.CsrMatrix, x: Tensor, hops: int) -> Tensor:
         """hops applications of the symmetric normalized adjacency; backward is
@@ -276,30 +306,48 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Tensor) -> dict:
-    """Gradients of a scalar recorded on `tape` w.r.t. every requires_grad leaf.
-
-    Records are visited in exact reverse creation order; contributions to a
-    tensor reached along several paths accumulate additively, in place into a
-    gradient array backward alone owns (see the module docstring). The replay
-    consumes the tape: each record is popped before its rule runs, and a
-    second backward on the same tape raises ValueError.
-    """
+    """Gradients of a scalar recorded on `tape` w.r.t. every requires_grad leaf:
+    the replay seeded with the loss's own gradient, 1."""
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if loss.tape is not tape:
-        raise ValueError("loss tensor was not produced by this tape")
+    return replay(tape, [(loss, np.ones(()))])
+
+
+def replay(tape: Tape, seeds) -> dict:
+    """Vector-Jacobian product of the outputs recorded on `tape`, each at its
+    upstream gradient, w.r.t. every requires_grad leaf; `seeds` holds
+    (output, gradient of the output's shape) pairs.
+
+    `backward` is the scalar case; the per-node stage of `interaction` replays
+    each node block's tape from its slices of the pooled-row gradients. Records
+    are visited in exact reverse creation order; contributions to a tensor
+    reached along several paths accumulate additively, in place into a
+    gradient array the replay alone owns (see the module docstring). The
+    replay consumes the tape: each record is popped before its rule runs, and
+    a second replay of the same tape raises ValueError.
+    """
+    for out, seed in seeds:
+        if seed.shape != out.data.shape:
+            raise ValueError(f"seed shape {seed.shape} does not match {out.data.shape}")
+        if out.tape is not tape:
+            raise ValueError("tensor was not produced by this tape")
     if tape._replayed:
         raise ValueError("tape already replayed")
     tape._replayed = True
     records = tape._records
     # keyed as the records name their inputs: node numbers and leaf tensors
-    grads: dict = {loss.node: np.ones(())}
-    owned = set()  # keys whose gradient array backward alone holds
+    grads: dict = {out.node: seed for out, seed in seeds}
+    owned = set()  # keys whose gradient array the replay alone holds
     while records:
         node, keys, vjp = records.pop()
-        if node not in grads:
+        if type(node) is tuple:  # a record with several outputs
+            g = tuple(grads.pop(n, None) for n in node)
+            if all(x is None for x in g):
+                continue
+        elif node in grads:
+            g = grads.pop(node)
+        else:
             continue
-        g = grads.pop(node)
         gis = vjp(g)
         for key, gi in zip(keys, gis):
             if gi is None or key is None:

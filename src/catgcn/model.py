@@ -8,12 +8,14 @@ tape records nothing. With dropout off the two therefore compute the same
 numbers, and training scores validation from the logits of the next step's
 taped forward instead of running `model_forward` after every update.
 
-Since nothing is recorded, `model_forward` runs the per-node interaction stage
-(gather to pooled rows) over cache-sized blocks of nodes, so its memory is set
-by the (N, d) pooled rows rather than by (N, n_f, d) arrays; the bits are those
-of one pass, as every op in that stage is row-independent. The projections,
-fusion and propagation still run once on all N rows: a 2-D gemm's last bits
-depend on how its rows are split, and propagation mixes nodes anyway.
+Both run the per-node interaction stage (gather to pooled rows) over
+cache-sized blocks of nodes, so memory is set by the (N, d) pooled rows rather
+than by (N, n_f, d) arrays, and the bits of loss and logits are those of one
+pass, as every op in that stage is row-independent. Training's tape keeps only
+the pooled rows; its backward recomputes each block's stage (see
+`interaction`). The projections, fusion and propagation run once on all N
+rows: a 2-D gemm's last bits depend on how its rows are split, and
+propagation mixes nodes anyway.
 """
 
 from __future__ import annotations
@@ -73,28 +75,36 @@ def param_shapes(num_features: int, num_classes: int, config: TrainConfig) -> di
     return shapes
 
 
-def dropout_mask(shape, rate: float, seed: int, epoch: int, site_idx: int = 0) -> np.ndarray:
+def dropout_mask(shape, rate: float, seed: int, epoch: int, site_idx: int = 0,
+                 offset: int = 0) -> np.ndarray:
     """Inverted-dropout mask: entries are 0 or 1/(1-rate), expectation one.
 
     site_idx picks the stream: 0 embedding rows, 1 local projection input,
-    2 global projection input.
+    2 global projection input. The mask holds the draws `offset` to
+    `offset + prod(shape)` of that stream, so the block of a larger mask that
+    starts at flat position `offset` is drawn without the rest of it: Philox
+    makes four draws per counter step, so the generator advances `offset // 4`
+    steps and discards `offset % 4` draws.
     """
     rng = stream_rng(seed, DROPOUT, substream=4 * epoch + site_idx)
+    rng.bit_generator.advance(offset // 4)
+    rng.random(offset % 4)
     keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)
 
 
 def epoch_dropout(config: TrainConfig, epoch: int):
-    """The `dropout(site, shape)` callable of `forward_all_nodes` for training
-    epoch `epoch`, its masks drawn from (config.seed, epoch); None without dropout."""
+    """The `dropout(site, shape, offset)` callable of `forward_all_nodes` for
+    training epoch `epoch`, its masks drawn from (config.seed, epoch); None
+    without dropout."""
     if config.dropout <= 0.0:
         return None
     sites = {"embedding": (0,), "projections": (1, 2), "both": (0, 1, 2)}[config.dropout_site]
 
-    def masks(site: int, shape) -> Tensor | None:
+    def masks(site: int, shape, offset: int) -> Tensor | None:
         if site not in sites:
             return None
-        return Tensor(dropout_mask(shape, config.dropout, config.seed, epoch, site_idx=site))
+        return Tensor(dropout_mask(shape, config.dropout, config.seed, epoch, site, offset))
 
     return masks
 
@@ -114,8 +124,7 @@ def model_forward(params: ModelParams, sample, norm_adj: CsrMatrix,
                   config: TrainConfig) -> np.ndarray:
     """Evaluation forward, returning the (N, C) propagated logits: `taped_forward`
     without dropout on the parameter arrays wrapped as constant tensors, so the
-    tape records nothing, keeps no intermediate alive, and the per-node stage
-    runs in blocks of nodes."""
+    tape records nothing and keeps no intermediate alive."""
     constants = ModelParams(**{n: Tensor(t.data) for n, t in params.named_tensors().items()})
     return taped_forward(Tape(), constants, sample, norm_adj, config).data
 

@@ -4,8 +4,13 @@
 `backward` consumes it record by record; the interaction kernels build their
 results in place. This is the tape they replaced, which kept every primitive's
 output and inputs alive until the tape died, together with the kernel
-formulas it called. Tests require a training step on the lean tape to equal
-one on this tape bit for bit: loss, every gradient and the logits.
+formulas it called, and `taped_forward`, the single-pass forward that
+recorded the whole per-node stage of all N nodes on it. Tests require a
+training step on the lean tape, whose per-node stage runs in node blocks and
+is recomputed block by block in the backward, to equal one recorded here:
+loss, logits and the projection gradients bit for bit, the embedding-table
+and w_conv gradients (summed by node block there) within 1e-12 relative, and
+all of them bit for bit when the nodes run in one block.
 """
 
 from __future__ import annotations
@@ -235,3 +240,37 @@ def backward(tape: Tape, loss: Tensor) -> dict:
                 leaves[id(inp)] = inp
     return {t: grads[i] for i, t in leaves.items()}
 
+
+
+def taped_forward(tape: Tape, params, sample, norm_adj, config, dropout=None) -> Tensor:
+    """The propagated logits of all N nodes recorded on `tape` in one pass:
+    gather, row weights, dropout site 0, the global route (recorded first),
+    the local route, their projections, fusion and propagation.
+    `dropout(site, shape, offset)` is `catgcn.model.epoch_dropout`'s callable."""
+
+    def drop(x, site):
+        mask = dropout(site, x.shape, 0) if dropout is not None else None
+        return x if mask is None else tape.elementwise_mul(x, mask)
+
+    def project(h, w, b, w_hidden, b_hidden):
+        if w_hidden is not None:
+            h = tape.relu(tape.add_bias(tape.matmul(h, w_hidden), b_hidden))
+        out = tape.add_bias(tape.matmul(h, w), b)
+        return tape.relu(out) if config.final_activation == "relu" else out
+
+    e = tape.gather_rows(params.embedding, sample.ids)
+    e = drop(tape.scale_rows(e, sample.weights), 0)
+    meanpool = config.variant == "meanpool"
+    alpha = 0.0 if meanpool else config.alpha
+    if alpha > 0.0:
+        pooled = tape.mean_rows(tape.relu(tape.matmul(tape.artificial_prop(e, config.rho),
+                                                      params.w_conv)))
+        h = h_g = project(drop(pooled, 2), params.w_g, params.b_g,
+                          params.w_g_hidden, params.b_g_hidden)
+    if alpha < 1.0:
+        pooled = tape.mean_rows(e) if meanpool else tape.biinteraction(e)
+        h = h_l = project(drop(pooled, 1), params.w_l, params.b_l,
+                          params.w_l_hidden, params.b_l_hidden)
+    if 0.0 < alpha < 1.0:
+        h = tape.add(tape.scale(h_g, alpha), tape.scale(h_l, 1.0 - alpha))
+    return tape.sparse_propagate(norm_adj, h, config.hops)

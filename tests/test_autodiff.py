@@ -8,7 +8,8 @@ import pytest
 
 import catgcn.autodiff as autodiff
 import tape_oracle
-from catgcn.autodiff import Tape, Tensor, backward, finite_diff_check, masked_ce_mean, softmax_rows
+from catgcn.autodiff import (Tape, Tensor, backward, finite_diff_check, masked_ce_mean, replay,
+                             softmax_rows)
 from catgcn.graph import build_adjacency, normalize_sym
 
 STEP = 1e-5
@@ -360,6 +361,54 @@ def test_backward_rejects_non_scalar():
     y = tape.relu(x)
     with pytest.raises(ValueError):
         backward(tape, y)
+
+
+def test_replay_is_the_vjp_at_the_seed():
+    # a replay seeded with upstream gradients of two outputs gives the bits of
+    # backward on sum(out1 * seed1) + sum(out2 * seed2), whose upstream
+    # gradients are 1.0 * seed1 and 1.0 * seed2
+    rng = np.random.default_rng(21)
+    table, w = leaf(rng, 6, 4), leaf(rng, 4, 3)
+    ids = rng.integers(0, 6, size=(5, 3))
+    seeds = rng.normal(size=(5, 3)), rng.normal(size=(5, 4))
+
+    def pooled(tape):
+        e = tape.gather_rows(table, ids)
+        return (tape.mean_rows(tape.relu(tape.matmul(tape.artificial_prop(e, 1.5), w))),
+                tape.biinteraction(e))
+
+    tape = Tape()
+    seeded = replay(tape, list(zip(pooled(tape), seeds)))
+    tape = Tape()
+    sums = [tape.total_sum(tape.elementwise_mul(out, Tensor(seed)))
+            for out, seed in zip(pooled(tape), seeds)]
+    scalar = backward(tape, tape.add(*sums))
+    assert list(seeded) == list(scalar) == [w, table]
+    for t, g in seeded.items():
+        assert g.tobytes() == scalar[t].tobytes()
+    tape = Tape()
+    with pytest.raises(ValueError, match="seed shape"):
+        replay(tape, [(pooled(tape)[0], seeds[0][:4])])
+
+
+def test_record_with_several_outputs_gets_each_gradient():
+    # the rule of a record with several outputs runs once, with the gradient of
+    # each output and None for an output no gradient reached
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    seen = []
+
+    def vjp(gs):
+        seen.append(gs)
+        return (sum(g for g in gs if g is not None),)
+
+    tape = Tape()
+    a, b, c = tape._emit_outputs([x.data, 2 * x.data, 3 * x.data], (x,), vjp)
+    assert (a.node, b.node, c.node) == (0, 1, 2)
+    loss = tape.total_sum(tape.add(tape.scale(a, 2.0), c))
+    grads = backward(tape, loss)
+    assert len(seen) == 1 and seen[0][1] is None
+    assert np.array_equal(seen[0][0], np.full(3, 2.0)) and np.array_equal(seen[0][2], np.ones(3))
+    assert np.array_equal(grads[x], np.full(3, 3.0))
 
 
 def test_backward_rejects_foreign_tensor():

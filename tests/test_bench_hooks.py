@@ -70,3 +70,38 @@ def test_traced_eval_counts_every_node_block_once(tmp_path):
     assert names.count("interaction.forward_all_nodes") == 1
     assert names.count("autodiff.tape.gather_rows") >= 2
     assert evaluate["counts"]["interaction.embed_elems"] == nodes * n_f * d
+
+
+def test_traced_train_in_node_blocks_keeps_the_hooked_counts(tmp_path):
+    # large enough that training runs its per-node stage in several blocks,
+    # forward and backward: the counters must still see one forward_all_nodes
+    # call per forward, all nodes, every epoch and the step's allocation peak
+    nodes, n_f, d, epochs = 1500, 10, 24, 2
+    assert nodes * n_f * d * 8 > 2 * NODE_BLOCK_BYTES
+    data = tmp_path / "ds"
+    assert main(["synth", "--kind", "homophily", "--nodes", str(nodes), "--feats", "50",
+                 "--classes", "3", "--n-f", str(n_f), "--p-in", "0.005", "--p-out", "0.0005",
+                 "--seed", "6", "--out-dir", str(data)]) == 0
+    args = [f"--{kind}={data}/{kind}.tsv" for kind in ("edges", "features", "labels")]
+    train = traced(tmp_path, "train", "train", *args, "--n-f", str(n_f), "--d-emb", str(d),
+                   "--d-hidden", str(d), "--max-epochs", str(epochs), "--patience", str(epochs),
+                   "--out-dir", str(tmp_path / "run"))
+    spans = train["spans"]
+    names = [span[0] for span in spans]
+    forwards = [i for i, name in enumerate(names) if name == "model.taped_forward"]
+    calls = [span for span in spans if span[0] == "interaction.forward_all_nodes"]
+    assert len(forwards) >= epochs and len(calls) == len(forwards)
+    assert all(span[3] in forwards for span in calls)
+
+    def in_backward(span):
+        while span[3] >= 0:
+            span = spans[span[3]]
+            if span[0] == "autodiff.backward":
+                return True
+        return False
+
+    recomputed = [s for s in spans if s[0] == "autodiff.tape.gather_rows" and in_backward(s)]
+    assert len(recomputed) >= 3 * epochs  # the backward recomputed block by block
+    assert train["counts"]["interaction.embed_elems"] == nodes * n_f * d
+    assert [m[0] for m in train["marks"]].count("epoch_end") == epochs
+    assert train["counts"]["model.training_step.peak_alloc_mb"] > 0

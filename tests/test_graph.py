@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import catgcn.graph
 from catgcn.graph import CsrMatrix, build_adjacency, normalize_sym, propagate, spmm
 
 
@@ -99,6 +100,26 @@ def test_spmm_handles_empty_rows():
     assert np.array_equal(spmm(adj, x), np.zeros((4, 2)))
     norm, _ = normalize_sym(adj)
     assert np.array_equal(spmm(norm, x), x)
+
+
+def test_spmm_in_row_chunks_is_bit_equal_to_one_chunk(monkeypatch):
+    # empty rows inside chunks and as whole chunks, and a hub row whose entries
+    # alone exceed the smaller budgets
+    rng = np.random.default_rng(8)
+    n = 300
+    edges = rng.integers(0, 150, size=(900, 2))
+    edges = np.concatenate([edges, np.stack([np.full(120, 7), np.arange(150, 270)], axis=1)])
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    adj = build_adjacency(edges, n)
+    norm, _ = normalize_sym(adj)
+    assert np.diff(adj.row_offsets).max() > 100 and (np.diff(adj.row_offsets) == 0).any()
+    x = rng.normal(size=(n, 3))
+    monkeypatch.setattr(catgcn.graph, "SPMM_CHUNK_BYTES", 1 << 40)
+    whole = [spmm(m, x) for m in (adj, norm)]
+    for budget in (8, 8 * 3 * 7, 8 * 3 * 100):
+        monkeypatch.setattr(catgcn.graph, "SPMM_CHUNK_BYTES", budget)
+        for m, ref in zip((adj, norm), whole):
+            assert spmm(m, x).tobytes() == ref.tobytes(), budget
 
 
 def test_spmm_rejects_bad_shapes():

@@ -104,6 +104,23 @@ def test_dropout_rate_zero_is_identity_mask():
     assert np.array_equal(m, np.ones((10, 4)))
 
 
+def test_dropout_mask_blocks_concatenate_to_the_full_draw():
+    # ragged node blocks of a (N, n_f, d_emb) mask, drawn from their offsets
+    # alone, are the full draw byte for byte; offsets hit every residue mod 4
+    shape = (23, 3, 5)
+    full = dropout_mask(shape, 0.4, seed=3, epoch=2, site_idx=0)
+    per_node = shape[1] * shape[2]
+    for cuts in ([0, 7, 14, 21, 23], [0, 1, 2, 9, 23], [0, 23]):
+        parts = [dropout_mask((hi - lo, *shape[1:]), 0.4, seed=3, epoch=2, site_idx=0,
+                              offset=lo * per_node) for lo, hi in zip(cuts, cuts[1:])]
+        assert np.concatenate(parts).tobytes() == full.tobytes(), cuts
+    assert {lo * per_node % 4 for lo in range(23)} == {0, 1, 2, 3}
+    flat = full.ravel()
+    for offset in (0, 1, 5, 17, 250):
+        part = dropout_mask((40,), 0.4, seed=3, epoch=2, site_idx=0, offset=offset)
+        assert part.tobytes() == flat[offset:offset + 40].tobytes(), offset
+
+
 def test_eval_mode_never_drops():
     ds, cfg, norm, sample, params = setup(dropout=0.9, dropout_site="both")
     out = model_forward(params, sample, norm, cfg)
@@ -159,21 +176,16 @@ def test_tape_keeps_only_what_backward_reads():
         try:
             y = taped_forward(tape, params, sample, norm, cfg)
             assert set(refs) == {"gather_rows", "scale_rows", "relu"}
-            assert refs["relu"]() is None
-            if weights == "unit":
-                # the scaled rows are the gathered array itself: no copy exists
-                assert refs["gather_rows"]() is not None
-                assert refs["scale_rows"]() is refs["gather_rows"]()
-            else:
-                # only the scaled copy is kept, for the routes' backward rules
-                assert refs["gather_rows"]() is None
-                assert refs["scale_rows"]() is not None
+            # the tape keeps only the pooled rows: every (rows, n_f, d) array of
+            # the per-node stage is freed with its block
+            assert all(ref() is None for ref in refs.values())
             assert tape._records
             leaves = set(map(id, params.named_tensors().values()))
             for _, keys, vjp in tape._records:
                 assert all(isinstance(k, int) or k is None or id(k) in leaves for k in keys)
                 cells = [c.cell_contents for c in vjp.__closure__ or ()]
                 assert not any(isinstance(c, Tensor) for c in cells)
+                assert all(c.ndim <= 2 for c in cells if isinstance(c, np.ndarray))
             backward(tape, taped_loss(tape, y, ds.labels, split.train_ids, 0.0, params))
             assert tape._records == []
         finally:
@@ -181,9 +193,10 @@ def test_tape_keeps_only_what_backward_reads():
 
 
 def reference_training_step(params, sample, norm, cfg, labels, train_ids, epoch):
-    """`training_step` recorded and replayed on the reference tape."""
+    """`training_step` recorded in one pass over all nodes on the reference
+    tape with its kernels, and replayed there."""
     tape = tape_oracle.Tape()
-    y = taped_forward(tape, params, sample, norm, cfg, epoch_dropout(cfg, epoch))
+    y = tape_oracle.taped_forward(tape, params, sample, norm, cfg, epoch_dropout(cfg, epoch))
     lt = taped_loss(tape, y, labels, train_ids, cfg.eta, params)
     return lt.item(), tape_oracle.backward(tape, lt), y.data
 
@@ -253,10 +266,18 @@ def test_training_step_peak_memory():
     assert peak <= 5 * unit, f"peak {peak / unit:.2f} x (N * n_f * d_emb * 8 bytes)"
 
 
-# the training tape's records of the global route with its projection, and of
-# the fusion; the expected sequences below are those of the single-pass forward
+# the single-pass tape's records of the global route with its projection, and
+# of the fusion: `records` below lists every primitive a training step records,
+# the per-node ones (after the gather and the row weights) included
 GLOBAL_REC = "artificial_prop matmul relu mean_rows matmul add_bias"
 FUSE_REC = "scale scale add"
+
+
+def _op(vjp):
+    """The primitive (or `_pooled_rows`, the per-node stage) that made a record,
+    from its rule's name."""
+    names = vjp.__qualname__.split(".")
+    return names[1] if names[0] == "Tape" else names[0]
 
 
 @pytest.mark.parametrize("weights", ["unit", "mixed"])
@@ -284,26 +305,57 @@ def test_eval_in_node_blocks_is_bit_equal_to_training_logits(monkeypatch, overri
     # 7 nodes per block: the 24 nodes run in blocks of 7, 7, 7 and 3
     width = max(cfg.d_emb, cfg.d_hidden)
     monkeypatch.setattr(catgcn.interaction, "NODE_BLOCK_BYTES", 7 * 8 * cfg.n_f * width)
-    blocks = []
-    gather = Tape.gather_rows
+    blocks, emitted = [], []
+    gather, emit = Tape.gather_rows, Tape._emit
 
-    def spy(tape, table, ids):
+    def spy_gather(tape, table, ids):
         blocks.append(len(ids))
         return gather(tape, table, ids)
 
-    monkeypatch.setattr(Tape, "gather_rows", spy)
+    def spy_emit(tape, out_data, inputs, vjp):
+        out = emit(tape, out_data, inputs, vjp)
+        if out.tape is tape:
+            emitted.append((tape, _op(vjp)))
+        return out
+
+    monkeypatch.setattr(Tape, "gather_rows", spy_gather)
+    monkeypatch.setattr(Tape, "_emit", spy_emit)
+    routes = ("b_l" in leaves.split()) + ("w_conv" in leaves.split())  # live routes
+    # the forward fills each route's rows in a pass over the blocks of its own
     y = model_forward(params, sample, norm, cfg)
-    assert blocks == [7, 7, 7, 3]
+    assert blocks == [7, 7, 7, 3] * routes and emitted == []
     blocks.clear()
 
-    # the taped forward runs one block of all nodes, with the parent's records
+    # training's forward runs the same blocks on constants, and its tape holds
+    # one record of the whole per-node stage in place of its primitives
     tape = Tape()
     y_taped = taped_forward(tape, params, sample, norm, cfg)
     loss = taped_loss(tape, y_taped, ds.labels, split.train_ids, cfg.eta, params)
-    assert blocks == [24]
-    ops = [vjp.__qualname__.split(".")[1] for _, _, vjp in tape._records]
-    assert ops == f"gather_rows scale_rows {records} sparse_propagate softmax_cross_entropy".split()
+    assert blocks == [7, 7, 7, 3] * routes
+    ops = [_op(vjp) for _, _, vjp in tape._records]
+    assert ops[0] == "_pooled_rows" and [op for _, op in emitted] == ops[1:]
+    blocks.clear()
+    emitted.clear()
+
+    # the backward recomputes the stage over the same blocks once, each block on
+    # a tape of its own that records one gather, the row weights and every
+    # live route's pooling
     grads = backward(tape, loss)
+    assert blocks == [7, 7, 7, 3]
+    block_ops = {}
+    for t, op in emitted:
+        block_ops.setdefault(t, []).append(op)
+    per_block = list(block_ops.values())
+    assert len(per_block) == 4 and all(b == per_block[0] for b in per_block)
+    assert per_block[0][:2] == ["gather_rows", "scale_rows"]
+    # the single-pass tape's records split into the block tapes' pooling
+    # records and the run tape's others, each in the single-pass order
+    single = f"{records} sparse_propagate softmax_cross_entropy".split()
+    stage, rest = per_block[0][2:], ops[1:]
+    assert sorted(stage + rest) == sorted(single)
+    for part in (stage, rest):
+        it = iter(single)
+        assert all(op in it for op in part), part
     names = {id(t): n for n, t in params.named_tensors().items()}
     assert [names[id(t)] for t in grads] == f"{leaves} embedding".split()
     assert y.tobytes() == y_taped.data.tobytes()
@@ -331,6 +383,152 @@ def test_eval_forward_peak_memory_stays_below_one_embedded_array():
     finally:
         tracemalloc.stop()
     assert peak < unit, f"peak {peak / unit:.2f} x (N * n_f * d_emb * 8 bytes)"
+
+
+def test_eval_forward_holds_one_route_of_pooled_rows_at_a_time():
+    # wide pooled rows and few of everything else: one route's (N, d) rows are
+    # most of what the forward allocates, so holding both at once shows
+    nodes, n_f, d = 20000, 2, 64
+    pooled = nodes * d * 8
+    assert pooled >= 8 * catgcn.interaction.NODE_BLOCK_BYTES
+    ds = generate_synthetic("homophily", nodes, 100, 3, n_f, 0.0002, 0.00002, seed=3)
+    cfg = TrainConfig(d_emb=d, d_hidden=d, n_f=n_f, alpha=0.5, rho=1.0, hops=1, seed=3)
+    norm, _ = normalize_sym(build_adjacency(ds.edges, ds.num_nodes))
+    sample = sample_features(ds, n_f, 3)
+    params = xavier_init(ds.num_features, ds.num_classes, cfg)
+    model_forward(params, sample, norm, cfg)  # warm up lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        model_forward(params, sample, norm, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * pooled, f"peak {peak / pooled:.2f} x (N * d * 8 bytes)"
+
+
+def test_training_step_peak_memory_stays_below_one_embedded_array():
+    # the eval bound above for one training step: the tape keeps only pooled
+    # rows, and the backward recomputes each node block's stage
+    nodes, n_f, d = 2048, 32, 32
+    budget = catgcn.interaction.NODE_BLOCK_BYTES
+    unit = nodes * n_f * d * 8
+    assert unit >= 8 * budget
+    ds = generate_synthetic("homophily", nodes, 300, 4, n_f, 0.004, 0.0004, seed=2)
+    cfg = TrainConfig(d_emb=d, d_hidden=d, n_f=n_f, alpha=0.5, rho=1.0, hops=2, seed=2)
+    norm, _ = normalize_sym(build_adjacency(ds.edges, ds.num_nodes))
+    sample = sample_features(ds, n_f, 2)
+    params = xavier_init(ds.num_features, ds.num_classes, cfg)
+    args = (params, sample, norm, cfg, ds.labels, make_split(ds, 2).train_ids)
+    training_step(*args)  # warm up lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        training_step(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < unit, f"peak {peak / unit:.2f} x (N * n_f * d_emb * 8 bytes)"
+
+
+def _set_nodes_per_block(monkeypatch, nodes_per_block, cfg):
+    width = max(cfg.d_emb, cfg.d_hidden)
+    monkeypatch.setattr(catgcn.interaction, "NODE_BLOCK_BYTES",
+                        nodes_per_block * 8 * cfg.n_f * width)
+
+
+def _spy_gathers(monkeypatch):
+    """The (table rows, ids) shape of every `Tape.gather_rows` call, in order."""
+    calls = []
+    gather = Tape.gather_rows
+
+    def spy(tape, table, ids):
+        calls.append((table.shape[0], len(ids)))
+        return gather(tape, table, ids)
+
+    monkeypatch.setattr(Tape, "gather_rows", spy)
+    return calls
+
+
+def _assert_matches_reference(step, ref, params):
+    """Loss, logits and projection gradients bit for bit; the embedding-table
+    and w_conv gradients, summed by node block, within 1e-12 relative."""
+    (loss, grads, y), (ref_loss, ref_grads, ref_y) = step, ref
+    assert loss == ref_loss
+    assert y.tobytes() == ref_y.tobytes()
+    assert list(grads) == list(ref_grads)
+    summed = {id(params.embedding), id(params.w_conv)}
+    for t, g in grads.items():
+        want = ref_grads[t]
+        if id(t) in summed:
+            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+        else:
+            assert g.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("weights", ["unit", "mixed"])
+@pytest.mark.parametrize("overrides", [
+    dict(alpha=0.0), dict(alpha=0.5), dict(alpha=1.0), dict(variant="meanpool"),
+    dict(alpha=0.5, deep_projection=True), dict(alpha=0.5, final_activation="relu"),
+    dict(alpha=0.5, dropout=0.3, dropout_site="embedding", eta=0.01),
+    dict(alpha=0.5, dropout=0.3, dropout_site="projections", eta=0.01),
+    dict(alpha=0.5, dropout=0.3, dropout_site="both", eta=0.01),
+    dict(alpha=0.5, n_f=1), dict(alpha=0.5, d_emb=1),
+], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+def test_training_step_in_node_blocks_matches_one_pass(monkeypatch, overrides, weights):
+    # ragged blocks of 7, 7, 7 and 3 nodes against one pass of all 24 on the
+    # reference tape
+    ds, cfg, norm, sample, params = setup(seed=3, rho=2.5, weights=weights, **overrides)
+    args = (params, sample, norm, cfg, ds.labels, make_split(ds, 3).train_ids)
+    _set_nodes_per_block(monkeypatch, 7, cfg)
+    calls = _spy_gathers(monkeypatch)
+    step = training_step(*args, epoch=5)
+    # the forward's pass per live route, then the backward's one recompute
+    routes = 2 if cfg.variant != "meanpool" and 0.0 < cfg.alpha < 1.0 else 1
+    assert [n for _, n in calls] == [7, 7, 7, 3] * (routes + 1)
+    _assert_matches_reference(step, reference_training_step(*args, epoch=5), params)
+
+
+def test_block_backward_scatters_into_the_block_rows_only(monkeypatch):
+    # a vocabulary far larger than the ids of any node block: each block's
+    # recompute gathers from, and scatters into, only the table rows its nodes
+    # use, so a step's table-gradient work does not grow with blocks x vocabulary
+    nodes, feats = 60, 20000
+    ds = generate_synthetic("homophily", nodes, feats, 3, 4, 0.1, 0.02, seed=4)
+    cfg = TrainConfig(d_emb=4, d_hidden=4, n_f=4, alpha=0.5, rho=1.0, hops=1, seed=4)
+    norm, _ = normalize_sym(build_adjacency(ds.edges, ds.num_nodes))
+    sample = sample_features(ds, cfg.n_f, 4)
+    params = xavier_init(ds.num_features, ds.num_classes, cfg)
+    args = (params, sample, norm, cfg, ds.labels, make_split(ds, 4).train_ids)
+    _set_nodes_per_block(monkeypatch, 7, cfg)
+    calls = _spy_gathers(monkeypatch)
+    step = training_step(*args)
+    blocks = [slice(lo, lo + 7) for lo in range(0, nodes, 7)]
+    assert len(blocks) == 9 and ds.num_features == feats
+    # the forward's pass per route gathers from the whole table
+    forward, recompute = calls[:2 * len(blocks)], calls[2 * len(blocks):]
+    assert forward == [(feats, len(sample.ids[rows])) for rows in blocks] * 2
+    assert recompute == [(len(np.unique(sample.ids[rows])), len(sample.ids[rows]))
+                         for rows in blocks]
+    _assert_matches_reference(step, reference_training_step(*args, epoch=0), params)
+    unused = np.setdiff1d(np.arange(feats), sample.ids)
+    assert not step[1][params.embedding][unused].any()
+
+
+def test_whole_model_gradient_in_node_blocks(monkeypatch):
+    # criterion 4's full-model check, run through three ragged node blocks with
+    # the block-sliced dropout masks at both sites
+    ds, cfg, norm, sample, params = setup(alpha=0.5, hops=2, weights="mixed", dropout=0.3,
+                                          dropout_site="both")
+    _set_nodes_per_block(monkeypatch, 10, cfg)
+    split = make_split(ds, 0)
+    calls = _spy_gathers(monkeypatch)
+
+    def f():
+        tape = Tape()
+        y = taped_forward(tape, params, sample, norm, cfg, epoch_dropout(cfg, 2))
+        return tape, taped_loss(tape, y, ds.labels, split.train_ids, 0.001, params)
+
+    assert finite_diff_check(f, params.named_tensors().values(), step=1e-5) <= 1e-4
+    assert [n for _, n in calls[:3]] == [10, 10, 4]
 
 
 def test_loss_reporting_matches_taped():

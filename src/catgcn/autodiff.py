@@ -6,10 +6,9 @@ vocabulary is fixed and closed: everything the model trains is expressed with
 the ops below, so every backward rule is auditable in one place.
 
 A record keeps only what its backward rule reads: the tape-local node number
-of its output (a tuple of them for a record with several outputs); for each
-input, its node number if this tape produced it, the Tensor itself if it is a
-leaf that requires a gradient (so `replay` can key the result), or None for a
-constant; and the vjp closure, which captures the
+of its output; for each input, its node number if this tape produced it, the
+Tensor itself if it is a leaf that requires a gradient (so `replay` can key
+the result), or None for a constant; and the vjp closure, which captures the
 arrays and shapes its rule reads, never Tensors. An output no rule reads (the
 gathered embedding rows once weights other than 1.0 scale them, the global
 route's relu output) is freed as soon as the forward drops it. `replay`
@@ -18,14 +17,12 @@ and the arrays it captured are freed once its gradient has been computed, and
 a replayed tape cannot be replayed again.
 
 A training step's tape lives from the forward to the end of its backward. It
-holds the pooled (N, d) rows of the per-node interaction stage, not the
-(N, n_f, d) arrays that stage computes: `interaction` records the stage as one
-record with one output per route (`Tape._emit_outputs`; its rule gets every
-output's gradient at once), whose rule recomputes the stage node block by node
-block on a short-lived block tape of its own. One loop, `replay`, replays both
-kinds of tape: `backward` starts it from the scalar loss (seed 1), the stage
-record from upstream gradients of non-scalar outputs (a block's slices of the
-routes' pooled-row gradients).
+holds only (N, C) arrays: `interaction` records the whole per-node function,
+from the embedding lookup to the fused (N, C) rows, as one record whose rule
+recomputes it node block by node block on a short-lived block tape of its
+own. One loop, `replay`, replays both kinds of tape: `backward` starts it from
+the scalar loss (seed 1), the per-node rule from a block's rows of the
+upstream (N, C) gradient.
 
 A vjp rule returns, for each input, None, a fresh array, the upstream `g`
 itself, or a read-only view; it never returns an array its closure captured.
@@ -113,21 +110,6 @@ class Tape:
             self._nodes += 1
             self._records.append((out.node, tuple(self._key(t) for t in inputs), vjp))
         return out
-
-    def _emit_outputs(self, outs_data, inputs, vjp) -> tuple:
-        """Record one rule with several outputs. The record's node is the tuple
-        of their node numbers, and `vjp` takes the tuple of their gradients,
-        None for an output no gradient reached."""
-        if self._replayed:
-            raise ValueError("tape already replayed")
-        outs = tuple(Tensor(d) for d in outs_data)
-        if any(t.needs_grad for t in inputs):
-            for out in outs:
-                out.needs_grad, out.tape, out.node = True, self, self._nodes
-                self._nodes += 1
-            self._records.append((tuple(out.node for out in outs),
-                                  tuple(self._key(t) for t in inputs), vjp))
-        return outs
 
     # -- primitives ---------------------------------------------------------
 
@@ -318,8 +300,8 @@ def replay(tape: Tape, seeds) -> dict:
     upstream gradient, w.r.t. every requires_grad leaf; `seeds` holds
     (output, gradient of the output's shape) pairs.
 
-    `backward` is the scalar case; the per-node stage of `interaction` replays
-    each node block's tape from its slices of the pooled-row gradients. Records
+    `backward` is the scalar case; the per-node rule of `interaction` replays
+    each node block's tape from its rows of the upstream gradient. Records
     are visited in exact reverse creation order; contributions to a tensor
     reached along several paths accumulate additively, in place into a
     gradient array the replay alone owns (see the module docstring). The
@@ -340,14 +322,9 @@ def replay(tape: Tape, seeds) -> dict:
     owned = set()  # keys whose gradient array the replay alone holds
     while records:
         node, keys, vjp = records.pop()
-        if type(node) is tuple:  # a record with several outputs
-            g = tuple(grads.pop(n, None) for n in node)
-            if all(x is None for x in g):
-                continue
-        elif node in grads:
-            g = grads.pop(node)
-        else:
+        if node not in grads:
             continue
+        g = grads.pop(node)
         gis = vjp(g)
         for key, gi in zip(keys, gis):
             if gi is None or key is None:

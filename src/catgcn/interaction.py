@@ -12,35 +12,32 @@ evaluation passes constants, and the tape then records nothing. The kernel
 formulas below are pure numpy, broadcast over leading batch axes and treat
 axis -2 as the feature-row axis; the tape primitives and the oracles call them.
 
-No node's pooled rows depend on another node's, so the per-node stage, from
-the gather through the row weights, dropout site 0 and a route's `pool` to
-its pooled (N, d) rows, runs over contiguous blocks of nodes sized so that one
-(rows, n_f, d) float64 array fits in `NODE_BLOCK_BYTES`. The full
-(N, n_f, d) arrays a single pass would allocate are never built, and the bits
-do not change: every per-node op is row-independent, and numpy runs the 3-D
-(rows, n_f, d) @ (d, d_hidden) product as one gemm per node. The projections
-run once on all N rows: a 2-D (N, d) @ (d, C) gemm is not row-block invariant
-under OpenBLAS (its last bits depend on how the rows are split). The forward
-therefore fills each live route's pooled rows in a pass over the blocks of its
-own, right before that route's projection reads them, so evaluation, which
-keeps nothing, holds one route's (N, d) rows at a time; the price is a second
-gather per block when both routes are live.
+Everything before propagation is per node: the gather, the row weights, the
+routes' pooling, the projections, the final activation and the fusion; only
+`A_hat^L` mixes nodes. `forward_all_nodes` therefore runs that whole function
+over contiguous blocks of nodes, sized so that one (rows, n_f, d) float64
+array fits in `NODE_BLOCK_BYTES`, and fills one (N, C) array. The (N, n_f, d)
+arrays a single pass would allocate are never built, and neither is any
+(N, d) array. Each block gathers its rows once, and both routes start from
+that one gather and one row sum. The dropout masks of a block are its slice of
+the whole draw, so they are the same bits as one pass.
 
-Training keeps only the pooled rows (block-level activation checkpointing,
+Training keeps only the (N, C) output (block-level activation checkpointing,
 Chen et al. 2016, arXiv:1604.06174). The forward runs each block on constants,
-so nothing of the per-node stage is recorded, and the run's tape gets one
-record with one output per live route. Its backward rule walks the blocks in
-order: it recomputes the block's stage for both routes from one gather, which
-share its row sum, on a block-local `Tape`, replays that tape from the
-block's slices of the routes' pooled-row gradients (`autodiff.replay`, whose
-scalar case is `backward`), and adds the block's table and w_conv gradients
-in block order. When the table has more rows than the block has feature ids,
-the block tape gathers from only the rows its nodes use, so no block's
-scatter is larger than the block. The run's tape therefore never holds an
-(N, n_f, d) array; the price is one more pass of the per-node forward in the
-backward, and table and w_conv gradients that are sums over blocks, so their
-last bits depend on the block size. Loss, logits and the projection
-gradients do not.
+so nothing of the per-node function is recorded, and the run's tape gets one
+ordinary record whose inputs are the live parameters and the table. Its
+backward rule walks the blocks in order. For each block it recomputes the
+function on a block-local `Tape`, replays that tape from the block's rows of
+the upstream gradient (`autodiff.replay`, whose scalar case is `backward`),
+and adds every input's gradient in block order. When the table has more rows
+than the block has feature ids, the block tape gathers from only the rows its
+nodes use, so no block's scatter is larger than the block. The run's tape
+therefore holds only (N, C) arrays; the price is one more pass of the per-node
+forward in the backward. Train and eval run the same blocks, so the taped
+logits are `model_forward`'s bit for bit. But the 2-D projection gemms run per
+block, and their last bits depend on how the rows are split, so loss, logits
+and every parameter gradient differ from one pass over all nodes in their last
+bits (within 1e-12 relative), and depend on the block size.
 """
 
 from __future__ import annotations
@@ -80,13 +77,14 @@ def artificial_propagate(e: np.ndarray, rho: float,
     return out
 
 
-# byte budget of one (rows, n_f, d) float64 array of the blocked per-node stage;
-# at 100k nodes, n_f=10, d=32 (2-vCPU host) the forward took 0.80-0.82 s for
-# budgets from 256 KiB to 4 MiB, 1.6 s at 16 KiB, 0.95 s at 16 MiB, 1.7 s unblocked;
-# medians of a training step over 3 rounds, at 256 KiB / 1 MiB / 4 MiB: 5k nodes,
-# n_f=50, d=64: 644-715 / 634-772 / 864-1157 ms; 10k nodes, n_f=10, d=32:
-# 138-163 / 120-150 / 225-271 ms
-NODE_BLOCK_BYTES = 1 << 20
+# byte budget of one (rows, n_f, d) float64 array of the blocked per-node function;
+# medians over two rounds on a 2-vCPU host, at 256 KiB / 512 KiB / 1 MiB: a training
+# step at 5k nodes, n_f=50, d=64: 747, 627 / 668, 632 / 806, 885 ms, with 0 / 810 /
+# 60,016 minor page faults per step (at 1 MiB the freed block arrays are returned to
+# the kernel and mapped again); at 10k nodes, n_f=10, d=32: 141, 156 / 127, 128 /
+# 129, 136 ms; the eval forward at 100k nodes, n_f=10, d=32: 572, 573 / 518, 560 /
+# 516, 377 ms
+NODE_BLOCK_BYTES = 1 << 19
 
 
 def _taped_project(tape: Tape, h, w, b, w_hidden, b_hidden, activation: str):
@@ -98,7 +96,7 @@ def _taped_project(tape: Tape, h, w, b, w_hidden, b_hidden, activation: str):
 
 def pool(tape: Tape, e: Tensor, route: str, w_conv, config: TrainConfig,
          row_sum: np.ndarray | None = None) -> Tensor:
-    """The route's per-node stage on embedded rows e, one pooled row per node.
+    """The route's pooling of embedded rows e, one pooled row per node.
     `row_sum` is `e.data.sum(axis=-2)` when the caller shares it between routes."""
     if route == "local":
         if config.variant == "meanpool":
@@ -108,85 +106,6 @@ def pool(tape: Tape, e: Tensor, route: str, w_conv, config: TrainConfig,
     # keeps, is freed as soon as it is pooled
     return tape.mean_rows(tape.relu(tape.matmul(tape.artificial_prop(e, config.rho, row_sum),
                                                 w_conv)))
-
-
-def _pooled_rows(tape: Tape, widths: dict, table: Tensor, w_conv, sample, blocks,
-                 config: TrainConfig, dropout) -> tuple:
-    """Each live route's pooled (N, d) rows, in the order of `widths` (route to
-    pooled width), as the outputs of one record on `tape`, and `fill(out,
-    route)`, which computes a route's rows into its output.
-
-    The record goes on the tape before the projections that read its outputs,
-    so that the replay reaches it after them, but its outputs get their rows
-    only when filled: the forward fills each one just before the route's
-    projection reads it, so evaluation, whose tape keeps no output, holds one
-    route's rows at a time. `fill` computes the rows block by block on
-    constants, so nothing of the per-node stage is recorded. The record's
-    inputs are (w_conv, table) with the global route live and (table,)
-    otherwise; its backward rule recomputes both routes' stage block by
-    block; see the module docstring.
-    """
-    from .autodiff import Tape, Tensor, replay  # autodiff imports this module
-
-    def stage(block_tape, table, w_conv, rows, ids, routes):
-        """The pooled rows of each of `routes` for the nodes in `rows`, whose
-        feature ids `ids` index `table`: the gather, the row weights, dropout
-        site 0 and the routes' `pool` on the one gathered block, recorded on
-        `block_tape`."""
-        e = block_tape.scale_rows(block_tape.gather_rows(table, ids), sample.weights[rows])
-        # the block's slice of the site-0 mask starts this many draws into its stream
-        offset = rows.start * e.shape[1] * e.shape[2]
-        mask = None if dropout is None else dropout(0, e.shape, offset)
-        if mask is not None:
-            e = block_tape.elementwise_mul(e, mask)
-        # both routes start from the row sum of e: compute it once for both
-        row_sum = e.data.sum(axis=-2) if len(routes) == 2 else None
-        return [pool(block_tape, e, route, w_conv, config, row_sum) for route in routes]
-
-    constant = (Tensor(table.data), None if w_conv is None else Tensor(w_conv.data))
-
-    def fill(out, route):
-        out.data = np.empty(out.shape)
-        for rows in blocks:
-            out.data[rows] = stage(tape, *constant, rows, sample.ids[rows], [route])[0].data
-
-    inputs = (table,) if w_conv is None else (w_conv, table)
-    needs = [t.needs_grad for t in inputs]
-    table_data = table.data  # the rule keeps arrays, never Tensors
-    w_data = None if w_conv is None else w_conv.data
-
-    def vjp(gs):
-        g_table = g_w = None
-        for rows in blocks:
-            ids = sample.ids[rows]
-            used = slice(None)  # the table rows the block's tape gathers from
-            if table_data.shape[0] > ids.size:
-                # a table with more rows than the block has ids: gather from the
-                # rows it uses, so that its scatter is no larger than the block
-                used, ids = np.unique(ids, return_inverse=True)
-                ids = ids.reshape(rows.stop - rows.start, -1)
-            t = Tensor(table_data[used], requires_grad=needs[-1])
-            w = None if w_data is None else Tensor(w_data, requires_grad=needs[0])
-            block = Tape()
-            outs = stage(block, t, w, rows, ids, list(widths))
-            grads = replay(block, [(out, g[rows]) for out, g in zip(outs, gs)
-                                   if g is not None and out.needs_grad])
-            # the block's tape is gone, so its gradients are this rule's own
-            if t in grads:
-                if g_table is None:
-                    g_table = np.zeros(table_data.shape)
-                g_table[used] += grads[t]
-            if w in grads:
-                g_w = grads[w] if g_w is None else np.add(g_w, grads[w], out=g_w)
-        return (g_table,) if w_data is None else (g_w, g_table)
-
-    # recorded like a primitive; the rule replays primitives only. Until `fill`
-    # gives an output its rows, it holds a read-only view of its shape that
-    # takes no memory
-    n = sample.ids.shape[0]
-    outs = tape._emit_outputs([np.broadcast_to(0.0, (n, width)) for width in widths.values()],
-                              inputs, vjp)
-    return outs, fill
 
 
 def forward_all_nodes(table: Tensor, params, config: TrainConfig, sample, tape: Tape,
@@ -200,49 +119,106 @@ def forward_all_nodes(table: Tensor, params, config: TrainConfig, sample, tape: 
     traced benchmark (`perfbench/child.py`) reads them there to count the
     gathered values.
     `dropout(site, shape, offset)` returns the constant mask tensor for site 0
-    (the embedded rows; `offset` is the flat position of the block's first
-    entry in the whole (N, n_f, d_emb) mask), 1 (the local projection input)
-    or 2 (the global projection input), or None where that site keeps
-    everything; a `dropout` of None drops nothing.
+    (the embedded rows), 1 (the local projection input) or 2 (the global
+    projection input), or None where that site keeps everything; `offset` is
+    the flat position of the block's first entry in the site's whole mask. A
+    `dropout` of None drops nothing.
 
     Late fusion is alpha * proj_g(h_g) + (1 - alpha) * proj_l(h_l). At the
     endpoints the dead route is skipped entirely, so alpha=0 equals the local
     projection exactly and alpha=1 the global one.
 
-    The per-node stage runs over blocks of nodes on constants, one route at a
-    time, each just before its projection; the live routes' pooled rows enter
-    the tape as one record that recomputes the stage in its backward; see the
-    module docstring.
+    The whole function runs over blocks of nodes on constants and enters the
+    tape as one record that recomputes it block by block in its backward; see
+    the module docstring.
     """
+    from .autodiff import Tape, Tensor, replay  # autodiff imports this module
+
     meanpool = config.variant == "meanpool"
     alpha = 0.0 if meanpool else config.alpha
-    widths = {}  # pooled width of each live route, global first
+    routes = []  # (route, dropout site, tensor suffix) of each live route, global first
     if alpha > 0.0:
-        widths["global"] = params.w_conv.shape[1]
+        routes.append(("global", 2, "g"))
     if alpha < 1.0:
-        widths["local"] = table.shape[1]
-    n, n_f = sample.ids.shape
-    step = max(1, NODE_BLOCK_BYTES // (8 * n_f * max(widths.values())))
-    blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    w_conv = params.w_conv if "global" in widths else None  # absent from some callers' params
-    outs, fill = _pooled_rows(tape, widths, table, w_conv, sample, blocks, config, dropout)
-    pooled = dict(zip(widths, outs))
-    del outs  # only `pooled` holds the outputs, and it lets each go after its projection
-
-    def route_input(route, site):
-        x = pooled.pop(route)
-        fill(x, route)
-        mask = dropout(site, x.shape, 0) if dropout is not None else None
-        return x if mask is None else tape.elementwise_mul(x, mask)
-
+        routes.append(("local", 1, "l"))
+    # the tensors the function reads, in the order it first reads them
+    names = ["w_conv"] if alpha > 0.0 else []
+    for _, _, r in routes:
+        names += [f"w_{r}_hidden", f"b_{r}_hidden", f"w_{r}", f"b_{r}"]
+    leaves = {"table": table}
+    leaves.update((n, t) for n in names if (t := getattr(params, n, None)) is not None)
     act = config.final_activation
-    if alpha > 0.0:
-        h_g = _taped_project(tape, route_input("global", 2), params.w_g, params.b_g,
-                             params.w_g_hidden, params.b_g_hidden, act)
-        if alpha == 1.0:
-            return h_g
-    h_l = _taped_project(tape, route_input("local", 1), params.w_l, params.b_l,
-                         params.w_l_hidden, params.b_l_hidden, act)
-    if alpha == 0.0:
-        return h_l
-    return tape.add(tape.scale(h_g, alpha), tape.scale(h_l, 1.0 - alpha))
+
+    def drop(block_tape, x, site, rows):
+        """x times the block's slice of the site's mask, which starts at the
+        block's first entry, `rows.start` rows into the site's stream."""
+        if dropout is None:
+            return x
+        mask = dropout(site, x.shape, rows.start * (x.data.size // len(x.data)))
+        return x if mask is None else block_tape.elementwise_mul(x, mask)
+
+    def stage(block_tape, leaves, rows, ids):
+        """H of the nodes in `rows`, whose feature ids `ids` index
+        leaves["table"], recorded on `block_tape`: one gather for both routes."""
+        e = block_tape.scale_rows(block_tape.gather_rows(leaves["table"], ids),
+                                  sample.weights[rows])
+        e = drop(block_tape, e, 0, rows)
+        # both routes start from the row sum of e: compute it once for both
+        row_sum = e.data.sum(axis=-2) if len(routes) == 2 else None
+        h = []
+        for route, site, r in routes:
+            x = drop(block_tape, pool(block_tape, e, route, leaves.get("w_conv"), config, row_sum),
+                     site, rows)
+            h.append(_taped_project(block_tape, x, leaves[f"w_{r}"], leaves[f"b_{r}"],
+                                    leaves.get(f"w_{r}_hidden"), leaves.get(f"b_{r}_hidden"),
+                                    act))
+        if len(h) == 1:
+            return h[0]
+        return block_tape.add(block_tape.scale(h[0], alpha), block_tape.scale(h[1], 1.0 - alpha))
+
+    n, n_f = sample.ids.shape
+    width = max(table.shape[1], leaves["w_conv"].shape[1] if alpha > 0.0 else 0)
+    step = max(1, NODE_BLOCK_BYTES // (8 * n_f * width))
+    blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+    # the forward on constants records nothing on `tape`
+    constants = {name: Tensor(t.data) for name, t in leaves.items()}
+    out = np.empty((n, (params.b_g if alpha > 0.0 else params.b_l).shape[0]))
+    for rows in blocks:
+        out[rows] = stage(tape, constants, rows, sample.ids[rows]).data
+
+    # the rule keeps arrays, never Tensors; the replay reaches the leaves in
+    # the reverse of the order the function reads them, so the record lists them so
+    arrays = {name: t.data for name, t in reversed(leaves.items())}
+    needs = {name: t.needs_grad for name, t in leaves.items()}
+
+    def vjp(g):
+        grads = dict.fromkeys(arrays)
+        for rows in blocks:
+            ids = sample.ids[rows]
+            used = slice(None)  # the table rows the block's tape gathers from
+            if arrays["table"].shape[0] > ids.size:
+                # a table with more rows than the block has ids: gather from the
+                # rows it uses, so that its scatter is no larger than the block
+                used, ids = np.unique(ids, return_inverse=True)
+                ids = ids.reshape(rows.stop - rows.start, -1)
+            block_leaves = {name: Tensor(a[used] if name == "table" else a,
+                                         requires_grad=needs[name])
+                            for name, a in arrays.items()}
+            block = Tape()
+            got = replay(block, [(stage(block, block_leaves, rows, ids), g[rows])])
+            # the block's tape is gone, so its gradients are this rule's own
+            for name, t in block_leaves.items():
+                if t not in got:
+                    continue
+                if name == "table":
+                    if grads[name] is None:
+                        grads[name] = np.zeros(arrays[name].shape)
+                    grads[name][used] += got[t]
+                elif grads[name] is None:
+                    grads[name] = got[t]
+                else:
+                    np.add(grads[name], got[t], out=grads[name])
+        return tuple(grads.values())
+
+    return tape._emit(out, [leaves[name] for name in arrays], vjp)

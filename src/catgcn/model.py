@@ -8,14 +8,14 @@ tape records nothing. With dropout off the two therefore compute the same
 numbers, and training scores validation from the logits of the next step's
 taped forward instead of running `model_forward` after every update.
 
-Both run the per-node interaction stage (gather to pooled rows) over
-cache-sized blocks of nodes, so memory is set by the (N, d) pooled rows rather
-than by (N, n_f, d) arrays, and the bits of loss and logits are those of one
-pass, as every op in that stage is row-independent. Training's tape keeps only
-the pooled rows; its backward recomputes each block's stage (see
-`interaction`). The projections, fusion and propagation run once on all N
-rows: a 2-D gemm's last bits depend on how its rows are split, and
-propagation mixes nodes anyway.
+Both run everything before propagation (the per-node interaction function,
+from the embedding lookup to the fused (N, C) rows) over cache-sized blocks of
+nodes, so memory is set by (N, C) arrays rather than by (N, n_f, d) or (N, d)
+ones. Training's tape keeps only the fused rows; its backward recomputes each
+block (see `interaction`). Train and eval run the same blocks, so their logits
+are the same bits; the projections' 2-D gemms run per block, so loss, logits
+and gradients differ from one pass over all nodes in their last bits.
+Propagation runs once on all N rows, as it mixes nodes.
 """
 
 from __future__ import annotations

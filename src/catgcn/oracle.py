@@ -73,11 +73,6 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
     return w[order], v[:, order]
 
 
-def spectral_radius(a: np.ndarray) -> float:
-    w, _ = jacobi_eigh(a)
-    return float(np.abs(w).max())
-
-
 def theorem_rho2(rho1: float, hops: int, n: int) -> float:
     """Collapsed probe coefficient: hops applications of the probe matrix at
     rho1 equal one application at this value.

@@ -391,26 +391,6 @@ def test_replay_is_the_vjp_at_the_seed():
         replay(tape, [(pooled(tape)[0], seeds[0][:4])])
 
 
-def test_record_with_several_outputs_gets_each_gradient():
-    # the rule of a record with several outputs runs once, with the gradient of
-    # each output and None for an output no gradient reached
-    x = Tensor(np.arange(3.0), requires_grad=True)
-    seen = []
-
-    def vjp(gs):
-        seen.append(gs)
-        return (sum(g for g in gs if g is not None),)
-
-    tape = Tape()
-    a, b, c = tape._emit_outputs([x.data, 2 * x.data, 3 * x.data], (x,), vjp)
-    assert (a.node, b.node, c.node) == (0, 1, 2)
-    loss = tape.total_sum(tape.add(tape.scale(a, 2.0), c))
-    grads = backward(tape, loss)
-    assert len(seen) == 1 and seen[0][1] is None
-    assert np.array_equal(seen[0][0], np.full(3, 2.0)) and np.array_equal(seen[0][2], np.ones(3))
-    assert np.array_equal(grads[x], np.full(3, 3.0))
-
-
 def test_backward_rejects_foreign_tensor():
     x = Tensor(np.ones(3), requires_grad=True)
     tape = Tape()

@@ -176,16 +176,24 @@ def test_tape_keeps_only_what_backward_reads():
         try:
             y = taped_forward(tape, params, sample, norm, cfg)
             assert set(refs) == {"gather_rows", "scale_rows", "relu"}
-            # the tape keeps only the pooled rows: every (rows, n_f, d) array of
-            # the per-node stage is freed with its block
+            # every (rows, n_f, d) array of the per-node function is freed with its block
             assert all(ref() is None for ref in refs.values())
             assert tape._records
             leaves = set(map(id, params.named_tensors().values()))
+            own = {id(t.data) for t in params.named_tensors().values()}
+            n, c = len(sample.ids), ds.num_classes
             for _, keys, vjp in tape._records:
                 assert all(isinstance(k, int) or k is None or id(k) in leaves for k in keys)
                 cells = [c.cell_contents for c in vjp.__closure__ or ()]
                 assert not any(isinstance(c, Tensor) for c in cells)
-                assert all(c.ndim <= 2 for c in cells if isinstance(c, np.ndarray))
+                # the arrays a rule holds, directly or in a container: besides
+                # the parameters' own, none is larger than the (N, C) logits
+                held = [a for cell in cells
+                        for a in (cell.values() if isinstance(cell, dict) else
+                                  cell if isinstance(cell, (list, tuple)) else (cell,))
+                        if isinstance(a, np.ndarray) and id(a) not in own]
+                assert all(a.ndim <= 2 and a.size <= n * c for a in held), \
+                    [a.shape for a in held]
             backward(tape, taped_loss(tape, y, ds.labels, split.train_ids, 0.0, params))
             assert tape._records == []
         finally:
@@ -267,15 +275,15 @@ def test_training_step_peak_memory():
 
 
 # the single-pass tape's records of the global route with its projection, and
-# of the fusion: `records` below lists every primitive a training step records,
-# the per-node ones (after the gather and the row weights) included
+# of the fusion: `records` below lists every per-node primitive a single pass
+# records after the gather and the row weights
 GLOBAL_REC = "artificial_prop matmul relu mean_rows matmul add_bias"
 FUSE_REC = "scale scale add"
 
 
 def _op(vjp):
-    """The primitive (or `_pooled_rows`, the per-node stage) that made a record,
-    from its rule's name."""
+    """The primitive (or `forward_all_nodes`, the per-node function) that made a
+    record, from its rule's name."""
     names = vjp.__qualname__.split(".")
     return names[1] if names[0] == "Tape" else names[0]
 
@@ -320,47 +328,60 @@ def test_eval_in_node_blocks_is_bit_equal_to_training_logits(monkeypatch, overri
 
     monkeypatch.setattr(Tape, "gather_rows", spy_gather)
     monkeypatch.setattr(Tape, "_emit", spy_emit)
-    routes = ("b_l" in leaves.split()) + ("w_conv" in leaves.split())  # live routes
-    # the forward fills each route's rows in a pass over the blocks of its own
+    # the forward visits each block once, for both routes
     y = model_forward(params, sample, norm, cfg)
-    assert blocks == [7, 7, 7, 3] * routes and emitted == []
+    assert blocks == [7, 7, 7, 3] and emitted == []
     blocks.clear()
 
     # training's forward runs the same blocks on constants, and its tape holds
-    # one record of the whole per-node stage in place of its primitives
+    # one record of the whole per-node function, then propagation and the loss
     tape = Tape()
     y_taped = taped_forward(tape, params, sample, norm, cfg)
     loss = taped_loss(tape, y_taped, ds.labels, split.train_ids, cfg.eta, params)
-    assert blocks == [7, 7, 7, 3] * routes
+    assert blocks == [7, 7, 7, 3]
     ops = [_op(vjp) for _, _, vjp in tape._records]
-    assert ops[0] == "_pooled_rows" and [op for _, op in emitted] == ops[1:]
+    assert ops == ["forward_all_nodes", "sparse_propagate", "softmax_cross_entropy"]
+    assert [op for _, op in emitted] == ops
     blocks.clear()
     emitted.clear()
 
-    # the backward recomputes the stage over the same blocks once, each block on
-    # a tape of its own that records one gather, the row weights and every
-    # live route's pooling
+    # the backward recomputes the function over the same blocks once, each
+    # block on a tape of its own that records the single pass's per-node
+    # records in the single pass's order
     grads = backward(tape, loss)
     assert blocks == [7, 7, 7, 3]
     block_ops = {}
     for t, op in emitted:
         block_ops.setdefault(t, []).append(op)
-    per_block = list(block_ops.values())
-    assert len(per_block) == 4 and all(b == per_block[0] for b in per_block)
-    assert per_block[0][:2] == ["gather_rows", "scale_rows"]
-    # the single-pass tape's records split into the block tapes' pooling
-    # records and the run tape's others, each in the single-pass order
-    single = f"{records} sparse_propagate softmax_cross_entropy".split()
-    stage, rest = per_block[0][2:], ops[1:]
-    assert sorted(stage + rest) == sorted(single)
-    for part in (stage, rest):
-        it = iter(single)
-        assert all(op in it for op in part), part
+    assert list(block_ops.values()) == [["gather_rows", "scale_rows", *records.split()]] * 4
     names = {id(t): n for n, t in params.named_tensors().items()}
     assert [names[id(t)] for t in grads] == f"{leaves} embedding".split()
     assert y.tobytes() == y_taped.data.tobytes()
     assert y.tobytes() == training_step(params, sample, norm, cfg, ds.labels,
                                         split.train_ids)[2].tobytes()
+
+
+@pytest.mark.parametrize("route", [dict(alpha=0.5), dict(alpha=1.0), dict(variant="meanpool")])
+def test_eval_logits_equal_training_logits_where_blocks_change_the_bits(monkeypatch, route):
+    # 8,000 nodes and C = 4: the (N, d) @ (d, C) projections in blocks of
+    # 1,024 nodes round differently from one gemm over all rows, so the logits
+    # are not one pass's bits; train and eval run the same blocks and agree
+    nodes, n_f, d = 8000, 2, 32
+    ds = generate_synthetic("homophily", nodes, 200, 4, n_f, 0.001, 0.0001, seed=5)
+    cfg = TrainConfig(d_emb=d, d_hidden=d, n_f=n_f, rho=1.0, hops=2, seed=5, **route)
+    norm, _ = normalize_sym(build_adjacency(ds.edges, ds.num_nodes))
+    sample = sample_features(ds, n_f, 5)
+    params = xavier_init(ds.num_features, ds.num_classes, cfg)
+    assert ds.num_classes == 4
+    _set_nodes_per_block(monkeypatch, 1024, cfg)
+    y = model_forward(params, sample, norm, cfg)
+    _, _, y_step = training_step(params, sample, norm, cfg, ds.labels,
+                                 make_split(ds, 5).train_ids)
+    assert y.tobytes() == y_step.tobytes()
+    _set_nodes_per_block(monkeypatch, nodes, cfg)
+    one_pass = model_forward(params, sample, norm, cfg)
+    assert y.tobytes() != one_pass.tobytes()
+    assert np.abs(y - one_pass).max() <= 1e-12 * np.abs(one_pass).max()
 
 
 def test_eval_forward_peak_memory_stays_below_one_embedded_array():
@@ -386,8 +407,9 @@ def test_eval_forward_peak_memory_stays_below_one_embedded_array():
 
 
 def test_eval_forward_holds_one_route_of_pooled_rows_at_a_time():
-    # wide pooled rows and few of everything else: one route's (N, d) rows are
-    # most of what the forward allocates, so holding both at once shows
+    # wide pooled rows and few of everything else: one route's (N, d) rows
+    # would be most of what the forward allocates, so holding them shows; the
+    # forward holds none, only a block's pooled rows at a time
     nodes, n_f, d = 20000, 2, 64
     pooled = nodes * d * 8
     assert pooled >= 8 * catgcn.interaction.NODE_BLOCK_BYTES
@@ -403,7 +425,7 @@ def test_eval_forward_holds_one_route_of_pooled_rows_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * pooled, f"peak {peak / pooled:.2f} x (N * d * 8 bytes)"
+    assert peak < 0.5 * pooled, f"peak {peak / pooled:.2f} x (N * d * 8 bytes)"
 
 
 def test_training_step_peak_memory_stays_below_one_embedded_array():
@@ -448,20 +470,17 @@ def _spy_gathers(monkeypatch):
     return calls
 
 
-def _assert_matches_reference(step, ref, params):
-    """Loss, logits and projection gradients bit for bit; the embedding-table
-    and w_conv gradients, summed by node block, within 1e-12 relative."""
+def _assert_matches_reference(step, ref):
+    """Every gradient, summed by node block, within 1e-12 relative of one pass.
+    Loss and logits are bit for bit one pass's at the small shapes here, where
+    the blocked projection gemms round as one gemm does (at larger ones they
+    agree within 1e-12 relative; see the 8,000-node test above)."""
     (loss, grads, y), (ref_loss, ref_grads, ref_y) = step, ref
-    assert loss == ref_loss
-    assert y.tobytes() == ref_y.tobytes()
+    assert loss == ref_loss and y.tobytes() == ref_y.tobytes()
     assert list(grads) == list(ref_grads)
-    summed = {id(params.embedding), id(params.w_conv)}
     for t, g in grads.items():
         want = ref_grads[t]
-        if id(t) in summed:
-            assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
-        else:
-            assert g.tobytes() == want.tobytes()
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("weights", ["unit", "mixed"])
@@ -481,10 +500,9 @@ def test_training_step_in_node_blocks_matches_one_pass(monkeypatch, overrides, w
     _set_nodes_per_block(monkeypatch, 7, cfg)
     calls = _spy_gathers(monkeypatch)
     step = training_step(*args, epoch=5)
-    # the forward's pass per live route, then the backward's one recompute
-    routes = 2 if cfg.variant != "meanpool" and 0.0 < cfg.alpha < 1.0 else 1
-    assert [n for _, n in calls] == [7, 7, 7, 3] * (routes + 1)
-    _assert_matches_reference(step, reference_training_step(*args, epoch=5), params)
+    # the forward, then the backward's recompute: one gather per block each
+    assert [n for _, n in calls] == [7, 7, 7, 3] * 2
+    _assert_matches_reference(step, reference_training_step(*args, epoch=5))
 
 
 def test_block_backward_scatters_into_the_block_rows_only(monkeypatch):
@@ -503,12 +521,12 @@ def test_block_backward_scatters_into_the_block_rows_only(monkeypatch):
     step = training_step(*args)
     blocks = [slice(lo, lo + 7) for lo in range(0, nodes, 7)]
     assert len(blocks) == 9 and ds.num_features == feats
-    # the forward's pass per route gathers from the whole table
-    forward, recompute = calls[:2 * len(blocks)], calls[2 * len(blocks):]
-    assert forward == [(feats, len(sample.ids[rows])) for rows in blocks] * 2
+    # the forward gathers once per block from the whole table
+    forward, recompute = calls[:len(blocks)], calls[len(blocks):]
+    assert forward == [(feats, len(sample.ids[rows])) for rows in blocks]
     assert recompute == [(len(np.unique(sample.ids[rows])), len(sample.ids[rows]))
                          for rows in blocks]
-    _assert_matches_reference(step, reference_training_step(*args, epoch=0), params)
+    _assert_matches_reference(step, reference_training_step(*args, epoch=0))
     unused = np.setdiff1d(np.arange(feats), sample.ids)
     assert not step[1][params.embedding][unused].any()
 

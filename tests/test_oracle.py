@@ -9,7 +9,6 @@ from catgcn.oracle import (
     certify_theorem,
     jacobi_eigh,
     probe_matrix,
-    spectral_radius,
     spectrum_check,
     theorem_rho2,
     theorem_sweep,
@@ -83,11 +82,6 @@ def test_jacobi_ascending_order():
     a = np.diag([3.0, -1.0, 2.0])
     w, _ = jacobi_eigh(a)
     assert np.allclose(w, [-1.0, 2.0, 3.0])
-
-
-def test_spectral_radius_of_probe_is_one():
-    for n, rho in [(2, 0.0), (5, 3.0), (10, 21.0)]:
-        assert spectral_radius(probe_matrix(n, rho)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_spectrum_frozen_two_rho_two():

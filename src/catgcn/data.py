@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import canonical_edges
+from .graph import canonical_edges, size_groups
 from .rng import SAMPLE, SPLIT, SYNTH, counter_keys, stream_rng
 
 
@@ -177,9 +177,18 @@ def _split_pairs(lines: list) -> tuple[list, list, np.ndarray]:
 
 def _column(tokens: list, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
     """`convert` of every token as one array, and a mask of the tokens it rejects
-    with ValueError or whose value `dtype` cannot hold; those read as 0."""
+    with ValueError or whose value `dtype` cannot hold; those read as 0.
+
+    An `int` column is parsed in C by `np.array(tokens, dtype)`, which accepts
+    and rejects what `int()` does and raises OverflowError past int64; on any
+    rejection the column is parsed again token by token to find which.
+    """
     try:
-        return np.fromiter(map(convert, tokens), dtype, len(tokens)), np.zeros(len(tokens), bool)
+        if convert is int:
+            values = np.array(tokens, dtype=dtype)
+        else:
+            values = np.fromiter(map(convert, tokens), dtype, len(tokens))
+        return values, np.zeros(len(tokens), bool)
     except (ValueError, OverflowError):
         pass
     values = np.zeros(len(tokens), dtype=dtype)
@@ -216,7 +225,10 @@ def _parse_features(lines: list) -> tuple:
         bad_tok |= bad_w | ~np.isfinite(weights) | (weights <= 0)
     else:
         fids, bad_tok = _column(toks, int, np.int64)
-        weights = np.ones(len(toks))
+        # loading peaks here: free the token list (8 bytes a token) before
+        # the weights take its place
+        del toks
+        weights = np.ones(len(fids))
     return nodes, sizes, bad | bad_node, fids, weights, bad_tok
 
 
@@ -228,53 +240,91 @@ def _repeats(values: np.ndarray) -> np.ndarray:
     return rep
 
 
+def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bag offsets, feature ids, weights) of a features file, bags in node order.
+
+    Each line's ids are sorted in place, the lines of one size as one
+    (lines, size) block (`size_groups`). An id repeated on a line sorts next
+    to its twin under any sort, which is how such a line is found and
+    rejected. Lines out of node order are then moved whole.
+    """
+    linenos, lines = _read_lines(path)
+    nodes, sizes, bad, fids, weights, bad_tok = _parse_features(lines)
+    # the lines' offsets into the flat arrays, which are the bags' offsets
+    # when the lines are in node order
+    offsets = np.zeros(len(lines) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    bad |= (nodes < 0) | _repeats(nodes) | (sizes == 0)
+    tok_line = np.repeat(np.arange(len(lines)), sizes)
+    bad[tok_line[bad_tok | (fids < 0)]] = True
+    for group in size_groups(sizes):
+        pos = offsets[group, None] + np.arange(sizes[group[0]])
+        pos_sorted = np.take_along_axis(pos, np.argsort(fids[pos], axis=1), axis=1)
+        fids[pos], weights[pos] = fids[pos_sorted], weights[pos_sorted]
+    repeated = (fids[1:] == fids[:-1]) & (tok_line[1:] == tok_line[:-1])
+    bad[tok_line[1:][repeated]] = True
+    _raise_first_fault("features", path, linenos, lines, bad, nodes=nodes)
+
+    if not lines:
+        raise DataError(f"{path}: no feature lines found")
+    num_nodes = int(nodes.max()) + 1
+    if num_nodes != len(lines):
+        missing = int(np.argmax(np.sort(nodes) != np.arange(len(lines))))
+        raise DataError(f"{path}: node {missing} has no feature line")
+    if (np.diff(nodes) < 0).any():
+        # nodes is a permutation of range(num_nodes): node u's line is line_of[u]
+        line_of = np.empty(num_nodes, dtype=np.int64)
+        line_of[nodes] = np.arange(num_nodes)
+        bag_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(sizes[line_of], out=bag_offsets[1:])
+        src = np.repeat(offsets[line_of] - bag_offsets[:-1], sizes[line_of])
+        src += np.arange(len(fids))
+        fids, weights, offsets = fids[src], weights[src], bag_offsets
+    return offsets, fids, weights
+
+
+def _load_edges(path: str, num_nodes: int) -> tuple[np.ndarray, int, int]:
+    """`canonical_edges` of an edges file whose ids all lie below `num_nodes`."""
+    linenos, lines = _read_lines(path)
+    u, v, bad = _parse_pairs(lines)
+    bad |= (np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes)
+    _raise_first_fault("edges", path, linenos, lines, bad, num_nodes=num_nodes)
+    return canonical_edges(np.column_stack([u, v]))
+
+
+def _load_labels(path: str, num_nodes: int) -> np.ndarray:
+    """(num_nodes,) classes of a labels file, -1 for a node it does not label."""
+    # allocated before the file's temporaries, so it does not pin them in the heap
+    labels = np.full(num_nodes, -1, dtype=np.int64)
+    linenos, lines = _read_lines(path)
+    labeled, classes, bad = _parse_pairs(lines)
+    bad |= (np.minimum(labeled, classes) < 0) | (labeled >= num_nodes) | _repeats(labeled)
+    _raise_first_fault("labels", path, linenos, lines, bad, num_nodes=num_nodes, nodes=labeled)
+    labels[labeled] = classes
+    return labels
+
+
 def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDataset:
     """Load and validate the three files; the features file defines the node universe.
 
     Each file is parsed into flat token arrays and checked as a whole; on a
     fault, the first faulty line in file order is reported with the message of
-    the first rule it breaks (see `_check_line`).
+    the first rule it breaks (see `_check_line`). Each file is read by its own
+    helper, so its lines and temporaries are freed before the next is read.
+
+    No sort uses more than one key. The bags come out as a sort of all
+    tokens by (node, feature id) would leave them: each line's ids are
+    sorted within the line, and lines out of node order are then moved
+    whole (`_load_features`); a valid line's ids are distinct, so the order
+    is unique. Edges are ordered by `canonical_edges`, one sort by u and
+    one sort of v within each run of equal u.
     """
-    linenos, lines = _read_lines(features_path)
-    nodes, sizes, bad, fids, weights, bad_tok = _parse_features(lines)
-    bad |= (nodes < 0) | _repeats(nodes) | (sizes == 0)
-    tok_line = np.repeat(np.arange(len(lines)), sizes)
-    bad[tok_line[bad_tok | (fids < 0)]] = True
-    # one sort by (node, id): finds an id repeated on a line, and is the
-    # bag layout RawDataset keeps
-    order = np.lexsort((fids, nodes[tok_line]))
-    fids, weights, tok_line = fids[order], weights[order], tok_line[order]
-    repeated = (fids[1:] == fids[:-1]) & (tok_line[1:] == tok_line[:-1])
-    bad[tok_line[1:][repeated]] = True
-    _raise_first_fault("features", features_path, linenos, lines, bad, nodes=nodes)
-
-    if not lines:
-        raise DataError(f"{features_path}: no feature lines found")
-    num_nodes = int(nodes.max()) + 1
-    if num_nodes != len(lines):
-        missing = int(np.argmax(np.sort(nodes) != np.arange(len(lines))))
-        raise DataError(f"{features_path}: node {missing} has no feature line")
-    num_features = int(fids.max()) + 1
-    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    offsets[nodes + 1] = sizes
-    np.cumsum(offsets, out=offsets)
-
-    linenos, lines = _read_lines(edges_path)
-    u, v, bad = _parse_pairs(lines)
-    bad |= (np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes)
-    _raise_first_fault("edges", edges_path, linenos, lines, bad, num_nodes=num_nodes)
-    edges, n_self, n_dup = canonical_edges(np.column_stack([u, v]))
-
-    linenos, lines = _read_lines(labels_path)
-    labeled, classes, bad = _parse_pairs(lines)
-    bad |= (np.minimum(labeled, classes) < 0) | (labeled >= num_nodes) | _repeats(labeled)
-    _raise_first_fault(
-        "labels", labels_path, linenos, lines, bad, num_nodes=num_nodes, nodes=labeled
-    )
-    labels = np.full(num_nodes, -1, dtype=np.int64)
-    labels[labeled] = classes
+    offsets, fids, weights = _load_features(features_path)
+    num_nodes = len(offsets) - 1
+    edges, n_self, n_dup = _load_edges(edges_path, num_nodes)
+    labels = _load_labels(labels_path, num_nodes)
     num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
-
+    num_features = int(fids.max()) + 1
     diag = dict(
         self_loops_dropped=n_self,
         duplicate_edges_dropped=n_dup,
@@ -364,6 +414,11 @@ def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
     shuffled). |S| < n_f: all of S in key order, then slot j >= |S| fills
     with S[key(u, j) mod |S|], uniform with replacement up to a bias below
     |S| / 2**64.
+
+    A node's keys are distinct (`counter_keys` is a bijection of the slot),
+    so the key order within a bag is unique. It comes from one
+    `argsort(axis=1)` per group of same-size bags (`size_groups`), which
+    equals a sort by (node, key) over all slots.
     """
     if n_f < 1:
         raise ValueError(f"n_f must be >= 1, got {n_f}")
@@ -371,23 +426,20 @@ def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
     # allocated after them would pin the freed memory above it in the heap
     ids = np.empty((ds.num_nodes, n_f), dtype=np.int64)
     weights = np.empty((ds.num_nodes, n_f))
-    starts = ds.bag_offsets[:-1]
     sizes = np.diff(ds.bag_offsets)
-    row = np.repeat(np.arange(ds.num_nodes), sizes)
-    slot = np.arange(len(ds.bag_ids)) - starts[row]
-    # rows are already contiguous, so sorting by (row, key) keeps each row at
-    # its offsets: position i of `order` holds the row's rank slot[i]
-    order = np.lexsort((counter_keys(seed, SAMPLE, row, slot), row))
-    keep = slot < n_f
-    pick = np.full((ds.num_nodes, n_f), -1, dtype=np.int64)
-    pick[row[keep], slot[keep]] = order[keep]
-    fill_row, fill_slot = np.nonzero(pick < 0)
-    fill_key = counter_keys(seed, SAMPLE, fill_row, fill_slot)
-    pick[fill_row, fill_slot] = starts[fill_row] + (
-        fill_key % sizes[fill_row].astype(np.uint64)
-    ).astype(np.int64)
-    np.take(ds.bag_ids, pick, out=ids)
-    np.take(ds.bag_weights, pick, out=weights)
+    for nodes in size_groups(sizes):
+        size = int(sizes[nodes[0]])
+        node = nodes[:, None]
+        start = ds.bag_offsets[node]
+        keys = counter_keys(seed, SAMPLE, node, np.arange(size))
+        pick = start + np.argsort(keys, axis=1)[:, :n_f]
+        if size < n_f:
+            fill_key = counter_keys(seed, SAMPLE, node, np.arange(size, n_f))
+            pick = np.concatenate(
+                [pick, start + (fill_key % np.uint64(size)).astype(np.int64)], axis=1
+            )
+        ids[nodes] = ds.bag_ids[pick]
+        weights[nodes] = ds.bag_weights[pick]
     return FeatureSample(ids=ids, weights=weights)
 
 

@@ -9,7 +9,11 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
-    """CSR matrix in canonical form: per row, column indices strictly ascending, no duplicates."""
+    """CSR matrix in canonical form: per row, column indices strictly ascending, no duplicates.
+
+    Built matrices have num_rows * num_cols < 2**63, so every entry's
+    row-major position `row * num_cols + col` fits int64 (`_csr_from_coo`).
+    """
 
     num_rows: int
     num_cols: int
@@ -49,15 +53,34 @@ def _expand_rows(row_offsets: np.ndarray) -> np.ndarray:
 
 
 def _csr_from_coo(rows, cols, vals, num_rows: int, num_cols: int) -> CsrMatrix:
-    """Build canonical CSR from COO triplets. Duplicates must have been removed by the caller."""
+    """Build canonical CSR from COO triplets. Duplicates must have been removed by the caller.
+
+    Entries are ordered by one int64 key, their row-major position
+    `row * num_cols + col`. Without duplicates the keys are distinct, so the
+    argsort has one answer: the (row, col) lexicographic order. Raises
+    ValueError when num_rows * num_cols reaches 2**63, where a key could
+    overflow.
+    """
+    if num_rows * num_cols >= 1 << 63:
+        raise ValueError(f"a {num_rows}x{num_cols} CSR matrix has 2**63 positions or more")
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    order = np.argsort(rows * num_cols + cols)
     offsets = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_rows), out=offsets[1:])
-    return CsrMatrix(num_rows, num_cols, offsets, cols, vals)
+    return CsrMatrix(num_rows, num_cols, offsets, cols[order], vals[order])
+
+
+def size_groups(sizes: np.ndarray) -> list:
+    """Indices of the segments of each distinct size, ascending within each group.
+
+    Same-size contiguous segments starting at `starts[group]` form one
+    (segments, size) block `starts[group, None] + np.arange(size)`, so one
+    sort along axis 1 sorts every segment of the group.
+    """
+    by_size = np.argsort(sizes, kind="stable")
+    return np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1) if len(sizes) else []
 
 
 def canonical_edges(edges) -> tuple[np.ndarray, int, int]:
@@ -65,15 +88,30 @@ def canonical_edges(edges) -> tuple[np.ndarray, int, int]:
 
     The result is (E, 2) int64 in ascending (u, v) order with u < v: self loops
     are dropped and each pair, in either order, is kept once.
+
+    Ids may be any int64, so no combined key is formed. Pairs are sorted by
+    u alone; then each run of equal u, a contiguous segment, has its v
+    sorted in place, the segments of one size as one block (`size_groups`).
+    That is the (u, v) order whatever order the first sort left within a
+    run, and a duplicate pair ends up next to its twin.
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n_raw = len(e)
-    e = np.sort(e[e[:, 0] != e[:, 1]], axis=1)
+    e = e[e[:, 0] != e[:, 1]]
     n_self = n_raw - len(e)
-    e = e[np.lexsort((e[:, 1], e[:, 0]))]
-    first = np.ones(len(e), dtype=bool)
-    first[1:] = (e[1:] != e[:-1]).any(axis=1)
-    e = e[first]
+    u, v = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    order = np.argsort(u)
+    u, v = u[order], v[order]
+    first = np.ones(len(u), dtype=bool)
+    np.not_equal(u[1:], u[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=len(u))
+    for group in size_groups(sizes):
+        pos = starts[group, None] + np.arange(sizes[group[0]])
+        v[pos] = np.sort(v[pos], axis=1)
+    first[1:] |= v[1:] != v[:-1]
+    e = np.empty((np.count_nonzero(first), 2), dtype=np.int64)
+    e[:, 0], e[:, 1] = u[first], v[first]
     return e, n_self, n_raw - n_self - len(e)
 
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .autodiff import Tensor, masked_ce_mean
-from .data import RawDataset, make_split, sample_features
+from .data import DataError, RawDataset, make_split, sample_features
 from .graph import build_adjacency, normalize_sym
 from .model import ModelParams, model_forward, param_shapes, predict, training_step
 from .rng import XAVIER, derive_cell_seed, stream_rng
@@ -116,6 +116,8 @@ def xavier_init(num_features: int, num_classes: int, config: TrainConfig) -> Mod
 
     A weight's fan_in and fan_out are its rows and columns (the embedding
     table: num_features and d_emb); tensors draw in `ModelParams` order.
+    A tensor too large to allocate (ids are table rows, so one huge feature
+    or class id is enough) raises DataError.
     """
     rng = stream_rng(config.seed, XAVIER)
 
@@ -125,8 +127,18 @@ def xavier_init(num_features: int, num_classes: int, config: TrainConfig) -> Mod
         limit = np.sqrt(6.0 / sum(shape))
         return rng.uniform(-limit, limit, size=shape)
 
-    shapes = param_shapes(num_features, num_classes, config)
-    return ModelParams(**{n: Tensor(init(s), requires_grad=True) for n, s in shapes.items()})
+    params = {}
+    for name, shape in param_shapes(num_features, num_classes, config).items():
+        try:
+            params[name] = Tensor(init(shape), requires_grad=True)
+        except (MemoryError, ValueError):
+            # numpy raises MemoryError when the allocation fails and ValueError
+            # when the byte count overflows; feature and class ids size the tensors
+            raise DataError(
+                f"cannot allocate the {' x '.join(map(str, shape))} {name} tensor: the data has"
+                f" {num_features} features and {num_classes} classes, d_emb is {config.d_emb}"
+            ) from None
+    return ModelParams(**params)
 
 
 @dataclass

@@ -200,6 +200,27 @@ def test_malformed_dataset_is_data_error(tmp_path, capsys):
     assert "features.tsv:2" in err
 
 
+@pytest.mark.parametrize("fid", [10_000_000_000, 4_611_686_018_427_387_904])
+def test_feature_id_too_large_for_the_table_is_data_error(tmp_path, capsys, fid):
+    # a valid id, but the embedding table it implies cannot be allocated: numpy
+    # refuses the first at allocation (MemoryError) and the second's byte count
+    # (ValueError) at once, so neither run touches that much memory
+    (tmp_path / "edges.tsv").write_text("0\t1\n")
+    (tmp_path / "features.tsv").write_text(
+        "".join(f"{u}\t{u % 3} {fid if u == 4 else u % 3 + 3}\n" for u in range(12)))
+    (tmp_path / "labels.tsv").write_text("".join(f"{u}\t{u % 2}\n" for u in range(12)))
+    code, _, err = run(
+        capsys, "train", "--edges", str(tmp_path / "edges.tsv"),
+        "--features", str(tmp_path / "features.tsv"),
+        "--labels", str(tmp_path / "labels.tsv"), "--out-dir", str(tmp_path / "out"),
+        "--d-emb", "16", "--max-epochs", "1",
+    )
+    assert code == 3
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and "Traceback" not in err
+    assert f"the data has {fid + 1} features" in last and "d_emb is 16" in last
+
+
 @pytest.mark.parametrize("cut", ["header", "payload"])
 def test_truncated_checkpoint_is_data_error(dataset_dir, tmp_path, capsys, cut):
     out_dir = tmp_path / "run"

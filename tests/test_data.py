@@ -6,9 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catgcn.data import (
     DataError,
+    _column,
     dataset_fingerprint,
     generate_synthetic,
     load_dataset,
@@ -100,6 +103,49 @@ def test_load_rejects_non_integer_ids(tmp_path):
 def test_load_rejects_duplicate_feature_id_on_node(tmp_path):
     with pytest.raises(DataError, match="duplicate feature id"):
         load_dataset(*write_files(tmp_path, "", "0\t1 1\n", ""))
+
+
+# spellings int() accepts (sign, underscore, other Unicode digits, spaces
+# around) and rejects, and one past int64
+INT_TOKENS = ["+5", "1_0", "_1", "\u0663", "\uff10", "\xa05", "5.0", "", str(2**63), "0x1"]
+
+
+def int_per_token(tokens):
+    """The values and fault mask of an int64 column, token by token with int()."""
+    values, bad = [], []
+    for tok in tokens:
+        try:
+            v = int(tok)
+        except ValueError:
+            v = None
+        ok = v is not None and -2**63 <= v < 2**63
+        values.append(v if ok else 0)
+        bad.append(not ok)
+    return values, bad
+
+
+@pytest.mark.parametrize("tokens", [[t] for t in INT_TOKENS] + [INT_TOKENS, ["7", "-2", "+3"]])
+def test_int_column_accepts_and_rejects_what_int_does(tokens):
+    values, bad = _column(tokens, int, np.int64)
+    assert values.dtype == np.int64 and bad.dtype == bool
+    assert (values.tolist(), bad.tolist()) == int_per_token(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.one_of(st.text(max_size=6), st.integers(-2**64, 2**64).map(str)),
+                       max_size=8))
+def test_int_column_matches_int_on_any_text(tokens):
+    values, bad = _column(tokens, int, np.int64)
+    assert (values.tolist(), bad.tolist()) == int_per_token(tokens)
+
+
+def test_int_column_out_of_range_takes_the_per_token_path():
+    # numpy raises OverflowError past int64; the column is parsed again per token
+    with pytest.raises(OverflowError):
+        np.array([str(2**63)], dtype=np.int64)
+    values, bad = _column(["7", str(2**63), str(-2**63 - 1), str(2**63 - 1)], int, np.int64)
+    assert values.tolist() == [7, 0, 0, 2**63 - 1]
+    assert bad.tolist() == [False, True, True, False]
 
 
 def test_write_then_load_roundtrip(tmp_path):

@@ -1,0 +1,179 @@
+"""The set-up path's sorts against the multi-key lexsorts they replaced.
+
+`sort_oracle` keeps each replaced `np.lexsort` verbatim. Canonical edges, CSR
+builds and transposes, feature samples and loaded bags must equal its
+outputs exactly, on ids across the whole int64 range, on mixed bag sizes and
+on features files whose lines are out of node order. A last test runs the
+set-up path with `np.lexsort` disabled.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import sort_oracle
+from catgcn.data import generate_synthetic, load_dataset, sample_features, write_dataset
+from catgcn.graph import _csr_from_coo, _expand_rows, canonical_edges
+from catgcn.training import TrainConfig, run_inputs
+from test_data_properties import make_dataset
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+def assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+# --- edges and CSR -------------------------------------------------------------
+
+@SETTINGS
+@given(pool=st.lists(INT64, min_size=1, max_size=8, unique=True), data=st.data())
+def test_canonical_edges_matches_lexsort_over_all_int64(pool, data):
+    # a few ids from the whole range, so pairs share endpoints and repeat in
+    # both orders; a combined key over these ids would overflow
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                               max_size=60))
+    raw = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    got, n_self, n_dup = canonical_edges(raw)
+    want, w_self, w_dup = sort_oracle.canonical_edges(raw)
+    assert_same(got, want)
+    assert (n_self, n_dup) == (w_self, w_dup)
+
+
+@st.composite
+def coo(draw, max_rows=12, max_cols=12):
+    """Distinct (row, col) entries in drawn order, with distinct values."""
+    num_rows = draw(st.integers(1, max_rows))
+    num_cols = draw(st.integers(1, max_cols))
+    cells = draw(st.lists(st.tuples(st.integers(0, num_rows - 1),
+                                    st.integers(0, num_cols - 1)), unique=True, max_size=60))
+    rows = np.array([r for r, _ in cells], dtype=np.int64)
+    cols = np.array([c for _, c in cells], dtype=np.int64)
+    return rows, cols, np.arange(len(cells)) + 0.5, num_rows, num_cols
+
+
+@SETTINGS
+@given(entries=coo())
+def test_csr_from_coo_and_transpose_match_lexsort(entries):
+    rows, cols, vals, num_rows, num_cols = entries
+    m = _csr_from_coo(rows, cols, vals, num_rows, num_cols)
+    offsets, want_cols, want_vals = sort_oracle.csr_from_coo(rows, cols, vals, num_rows)
+    for got, want in ((m.row_offsets, offsets), (m.col_indices, want_cols),
+                      (m.values, want_vals)):
+        assert_same(got, want)
+    t = m.transpose()
+    offsets, want_cols, want_vals = sort_oracle.csr_from_coo(
+        want_cols, _expand_rows(offsets), want_vals, num_cols)
+    assert (t.num_rows, t.num_cols) == (num_cols, num_rows)
+    for got, want in ((t.row_offsets, offsets), (t.col_indices, want_cols),
+                      (t.values, want_vals)):
+        assert_same(got, want)
+
+
+@SETTINGS
+@given(entries=coo(max_cols=1), wide=st.integers(0, 3))
+def test_csr_from_coo_is_exact_up_to_its_shape_bound(entries, wide):
+    # columns up to (2**63 - 1) // num_rows: the largest key is 2**63 - 2 or just below
+    rows, cols, vals, num_rows, _ = entries
+    num_cols = (2**63 - 1) // num_rows
+    cols = cols + (num_cols - 1 - wide)
+    m = _csr_from_coo(rows, cols, vals, num_rows, num_cols)
+    offsets, want_cols, want_vals = sort_oracle.csr_from_coo(rows, cols, vals, num_rows)
+    for got, want in ((m.row_offsets, offsets), (m.col_indices, want_cols),
+                      (m.values, want_vals)):
+        assert_same(got, want)
+
+
+def test_csr_from_coo_refuses_shapes_past_int64_keys():
+    m = _csr_from_coo([1, 0], [2**62 - 2, 3], [1.0, 2.0], 2, 2**62 - 1)  # 2**63 - 2 positions
+    assert m.col_indices.tolist() == [3, 2**62 - 2]
+    for num_rows, num_cols in ((2, 2**62), (1, 2**63), (3, 2**62)):
+        with pytest.raises(ValueError, match="has 2\\*\\*63 positions or more"):
+            _csr_from_coo([0], [0], [1.0], num_rows, num_cols)
+
+
+# --- feature sampling --------------------------------------------------------
+
+def bags_of(sizes):
+    return [set(range(3 * u, 3 * u + 2 * s, 2)) for u, s in enumerate(sizes)]
+
+
+def assert_sample_matches_lexsort(ds, n_f, seed):
+    got = sample_features(ds, n_f, seed)
+    want_ids, want_weights = sort_oracle.sample_features(ds, n_f, seed)
+    assert_same(got.ids, want_ids)
+    assert_same(got.weights, want_weights)
+
+
+@SETTINGS
+@given(sizes=st.lists(st.integers(1, 14), min_size=1, max_size=25),
+       n_f=st.integers(1, 10), seed=st.integers(0, 2**63 - 1), data=st.data())
+def test_sample_features_matches_lexsort_on_mixed_bag_sizes(sizes, n_f, seed, data):
+    # bags shorter than, as long as and longer than n_f, in any order, and
+    # sometimes one bag 1000 times the largest of the others
+    if data.draw(st.booleans()):
+        sizes.insert(data.draw(st.integers(0, len(sizes))), 1000 * max(sizes))
+    assert_sample_matches_lexsort(make_dataset(bags_of(sizes)), n_f, seed)
+
+
+@pytest.mark.parametrize("n_f", [1, 4, 10])
+def test_sample_features_matches_lexsort_with_one_huge_bag(n_f):
+    sizes = [max(n_f - 1, 1), n_f, n_f + 1, 1, 1000 * (n_f + 1), n_f, 2]
+    assert_sample_matches_lexsort(make_dataset(bags_of(sizes)), n_f, seed=2**63 - 1)
+
+
+# --- loaded bags -------------------------------------------------------------
+
+fid = st.one_of(st.integers(0, 40), st.integers(2**63 - 40, 2**63 - 1))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_loaded_bags_match_lexsort(tmp_path, data):
+    # lines in any node order, ids in any order within a line, some near 2**63 - 1
+    n = data.draw(st.integers(1, 15))
+    lines = []
+    for u in data.draw(st.permutations(range(n))):
+        ids = data.draw(st.permutations(sorted(data.draw(st.sets(fid, min_size=1, max_size=8)))))
+        lines.append((u, [(f, data.draw(st.sampled_from([1.0, 0.5, 2.25]))) for f in ids]))
+    text = "".join(f"{u}\t" + " ".join(str(f) if w == 1.0 else f"{f}:{w!r}" for f, w in bag)
+                   + "\n" for u, bag in lines)
+    paths = []
+    for name, body in (("edges", ""), ("features", text), ("labels", "")):
+        (tmp_path / f"{name}.tsv").write_text(body)
+        paths.append(str(tmp_path / f"{name}.tsv"))
+    ds = load_dataset(*paths)
+    offsets, ids, weights = sort_oracle.bag_layout(lines)
+    assert_same(ds.bag_offsets, offsets)
+    assert_same(ds.bag_ids, ids)
+    assert_same(ds.bag_weights, weights)
+    assert ds.num_features == int(ids.max()) + 1
+
+
+# --- no multi-key sort on the set-up path ------------------------------------
+
+def test_setup_path_runs_without_lexsort(tmp_path, monkeypatch):
+    ds = generate_synthetic("local-signal", 80, 40, 3, 6, 0.1, 0.02, seed=4)
+    write_dataset(ds, str(tmp_path / "in_order"))
+    # the same bags with the feature lines reversed, so whole lines move into node order
+    shuffled = tmp_path / "reversed"
+    shuffled.mkdir()
+    for name in ("edges", "labels"):
+        (shuffled / f"{name}.tsv").write_bytes((tmp_path / f"in_order/{name}.tsv").read_bytes())
+    lines = (tmp_path / "in_order/features.tsv").read_text().splitlines(keepends=True)
+    (shuffled / "features.tsv").write_text("".join(reversed(lines)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.lexsort called on the set-up path")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    for root in (tmp_path / "in_order", shuffled):
+        loaded = load_dataset(*(str(root / f"{k}.tsv") for k in ("edges", "features", "labels")))
+        for n_f in (4, 6, 9):
+            run_inputs(loaded, TrainConfig(n_f=n_f, seed=2))
+        assert np.array_equal(loaded.bag_ids, ds.bag_ids)
+        assert np.array_equal(loaded.edges, ds.edges)

@@ -7,7 +7,8 @@ mixing), fused late and propagated over the symmetrically normalized graph.
 
 __version__ = "0.1.0"
 
-from .autodiff import Tape, Tensor, backward, finite_diff_check
+from .autodiff import (Tape, Tensor, artificial_propagate, backward, finite_diff_check,
+                       local_biinteraction)
 from .data import (
     DataError,
     FeatureSample,
@@ -20,7 +21,7 @@ from .data import (
     write_dataset,
 )
 from .graph import CsrMatrix, DegreeVector, build_adjacency, normalize_sym, propagate, spmm
-from .interaction import artificial_propagate, forward_all_nodes, local_biinteraction
+from .interaction import forward_all_nodes
 from .model import ModelParams, model_forward, predict
 from .oracle import (
     SpectralReport,

@@ -24,6 +24,7 @@ import struct
 
 import numpy as np
 
+from . import __version__
 from .autodiff import Tensor
 from .data import DataError
 from .model import ModelParams
@@ -34,8 +35,6 @@ _PREAMBLE = 20  # magic, version, header length
 
 
 def save_checkpoint(path: str, params: ModelParams, config: dict, seed: int) -> None:
-    from . import __version__
-
     sections = []
     payloads = []
     offset = 0

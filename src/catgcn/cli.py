@@ -263,10 +263,10 @@ def cmd_grid(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     grid_cells(grids, config)  # every cell's config is checked before any file is read
+    os.makedirs(args.out_dir, exist_ok=True)  # an unusable --out-dir fails before any training
     dataset = load_dataset(args.edges, args.features, args.labels)
     result_rows, best_idx = grid_search(dataset, grids, config, jobs=args.jobs)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     grid_path = os.path.join(args.out_dir, "grid.json")
     with open(grid_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(result_rows, fh, indent=2, sort_keys=True)

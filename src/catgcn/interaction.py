@@ -7,10 +7,11 @@ Late fusion combines the two per-route projections.
 
 `forward_all_nodes` is the one definition of these representations, for
 training and evaluation alike. It records the composition on a tape with the
-primitives of `autodiff`; training passes parameters that require gradients,
-evaluation passes constants, and the tape then records nothing. The kernel
-formulas below are pure numpy, broadcast over leading batch axes and treat
-axis -2 as the feature-row axis; the tape primitives and the oracles call them.
+primitives of `autodiff`, which also holds the routes' numpy formulas;
+training passes parameters that require gradients and its epoch, evaluation
+passes constants and no epoch, and the tape then records nothing. The stage
+owns dropout: `dropout_mask` draws a training epoch's masks, and
+`DROPOUT_SITES` names the sites each `dropout_site` setting drops.
 
 Everything before propagation is per node: the gather, the row weights, the
 routes' pooling, the projections, the final activation and the fusion; only
@@ -19,8 +20,8 @@ over contiguous blocks of nodes, sized so that one (rows, n_f, d) float64
 array fits in `NODE_BLOCK_BYTES`, and fills one (N, C) array. The (N, n_f, d)
 arrays a single pass would allocate are never built, and neither is any
 (N, d) array. Each block gathers its rows once, and both routes start from
-that one gather and one row sum. The dropout masks of a block are its slice of
-the whole draw, so they are the same bits as one pass.
+that one gather and one row sum. A block draws only its slice of each whole
+dropout mask, so the masks are the same bits as one pass.
 
 Training keeps only the (N, C) output (block-level activation checkpointing,
 Chen et al. 2016, arXiv:1604.06174). The forward runs each block on constants,
@@ -46,35 +47,33 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # autodiff and training (through model) import this module
-    from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, replay
+from .rng import DROPOUT, stream_rng
+
+if TYPE_CHECKING:  # training imports this module
     from .training import TrainConfig
 
 
-def local_biinteraction(e: np.ndarray, row_sum: np.ndarray | None = None) -> np.ndarray:
-    """Sum of elementwise products over all distinct row pairs, in linear time.
+# the dropout sites each `dropout_site` setting drops: 0 the embedded rows,
+# 1 the local projection input, 2 the global projection input
+DROPOUT_SITES = {"embedding": (0,), "projections": (1, 2), "both": (0, 1, 2)}
 
-    Equals 0.5 * ((sum_i e_i)^2 - sum_i e_i^2); a single row yields zero.
-    `row_sum` is `e.sum(axis=-2)` when a caller has already computed it.
+
+def dropout_mask(shape, rate: float, seed: int, epoch: int, site_idx: int = 0,
+                 offset: int = 0) -> np.ndarray:
+    """Inverted-dropout mask: entries are 0 or 1/(1-rate), expectation one.
+
+    site_idx picks the stream, one per site (see `DROPOUT_SITES`). The mask
+    holds the draws `offset` to `offset + prod(shape)` of that stream, so the
+    block of a larger mask that starts at flat position `offset` is drawn
+    without the rest of it: Philox makes four draws per counter step, so the
+    generator advances `offset // 4` steps and discards `offset % 4` draws.
     """
-    s = e.sum(axis=-2) if row_sum is None else row_sum
-    sq = (e * e).sum(axis=-2)
-    return 0.5 * (s * s - sq)
-
-
-def artificial_propagate(e: np.ndarray, rho: float,
-                         row_sum: np.ndarray | None = None) -> np.ndarray:
-    """Row i becomes (sum_j e_j + rho * e_i) / (n_f + rho): the probe-weighted mixing
-    operator applied without materializing its (n_f x n_f) matrix. The result is
-    built in one buffer: rho * e, then the row sum added, then the division.
-    `row_sum` is `e.sum(axis=-2)` when a caller has already computed it."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    n = e.shape[-2]
-    out = np.multiply(e, rho)
-    out += (e.sum(axis=-2) if row_sum is None else row_sum)[..., None, :]
-    out /= n + rho
-    return out
+    rng = stream_rng(seed, DROPOUT, substream=4 * epoch + site_idx)
+    rng.bit_generator.advance(offset // 4)
+    rng.random(offset % 4)
+    keep = rng.random(shape) >= rate
+    return keep / (1.0 - rate)
 
 
 # byte budget of one (rows, n_f, d) float64 array of the blocked per-node function;
@@ -109,20 +108,18 @@ def pool(tape: Tape, e: Tensor, route: str, w_conv, config: TrainConfig,
 
 
 def forward_all_nodes(table: Tensor, params, config: TrainConfig, sample, tape: Tape,
-                      dropout) -> Tensor:
+                      epoch: int | None = None) -> Tensor:
     """Record the initial representations H (N x C) of every node on `tape`.
 
     `table` is the embedding table; `params` holds the projection tensors
     (w_conv, w_g, b_g, w_l, b_l and, with deep_projection, the hidden pairs);
-    of the run `config` it reads variant, alpha, rho and final_activation.
-    The table and the sample stay the first and fourth arguments because the
-    traced benchmark (`perfbench/child.py`) reads them there to count the
-    gathered values.
-    `dropout(site, shape, offset)` returns the constant mask tensor for site 0
-    (the embedded rows), 1 (the local projection input) or 2 (the global
-    projection input), or None where that site keeps everything; `offset` is
-    the flat position of the block's first entry in the site's whole mask. A
-    `dropout` of None drops nothing.
+    of the run `config` it reads variant, alpha, rho, final_activation and
+    the dropout settings. The table and the sample stay the first and fourth
+    arguments because the traced benchmark (`perfbench/child.py`) reads them
+    there to count the gathered values.
+    `epoch` is the training epoch whose dropout masks the sites of
+    `config.dropout_site` apply, drawn from (config.seed, epoch); None, the
+    eval forward, drops nothing.
 
     Late fusion is alpha * proj_g(h_g) + (1 - alpha) * proj_l(h_l). At the
     endpoints the dead route is skipped entirely, so alpha=0 equals the local
@@ -132,8 +129,6 @@ def forward_all_nodes(table: Tensor, params, config: TrainConfig, sample, tape: 
     tape as one record that recomputes it block by block in its backward; see
     the module docstring.
     """
-    from .autodiff import Tape, Tensor, replay  # autodiff imports this module
-
     meanpool = config.variant == "meanpool"
     alpha = 0.0 if meanpool else config.alpha
     routes = []  # (route, dropout site, tensor suffix) of each live route, global first
@@ -148,14 +143,16 @@ def forward_all_nodes(table: Tensor, params, config: TrainConfig, sample, tape: 
     leaves = {"table": table}
     leaves.update((n, t) for n in names if (t := getattr(params, n, None)) is not None)
     act = config.final_activation
+    sites = () if epoch is None or config.dropout <= 0.0 else DROPOUT_SITES[config.dropout_site]
 
     def drop(block_tape, x, site, rows):
         """x times the block's slice of the site's mask, which starts at the
         block's first entry, `rows.start` rows into the site's stream."""
-        if dropout is None:
+        if site not in sites:
             return x
-        mask = dropout(site, x.shape, rows.start * (x.data.size // len(x.data)))
-        return x if mask is None else block_tape.elementwise_mul(x, mask)
+        mask = dropout_mask(x.shape, config.dropout, config.seed, epoch, site,
+                            rows.start * (x.data.size // len(x.data)))
+        return block_tape.elementwise_mul(x, Tensor(mask))
 
     def stage(block_tape, leaves, rows, ids):
         """H of the nodes in `rows`, whose feature ids `ids` index
@@ -199,14 +196,18 @@ def forward_all_nodes(table: Tensor, params, config: TrainConfig, sample, tape: 
             used = slice(None)  # the table rows the block's tape gathers from
             if arrays["table"].shape[0] > ids.size:
                 # a table with more rows than the block has ids: gather from the
-                # rows it uses, so that its scatter is no larger than the block
+                # rows it uses, so that its scatter is no larger than the block.
+                # Otherwise the block skips `np.unique`; taking the unique rows
+                # always keeps the bits, and at 10k nodes, n_f 10, d 32 neither
+                # side's step was faster beyond run-to-run spread (8 alternating
+                # runs, 2-vCPU host), so each training workload runs one side
                 used, ids = np.unique(ids, return_inverse=True)
                 ids = ids.reshape(rows.stop - rows.start, -1)
             block_leaves = {name: Tensor(a[used] if name == "table" else a,
                                          requires_grad=needs[name])
                             for name, a in arrays.items()}
             block = Tape()
-            got = replay(block, [(stage(block, block_leaves, rows, ids), g[rows])])
+            got = replay(block, stage(block, block_leaves, rows, ids), g[rows])
             # the block's tape is gone, so its gradients are this rule's own
             for name, t in block_leaves.items():
                 if t not in got:

@@ -1,12 +1,13 @@
 """Full-batch model: interaction representations, L-hop propagation, softmax head.
 
-There is one forward pass, `taped_forward`: dropout masks, the interaction
-forward that `interaction.forward_all_nodes` records, and propagation.
-Training records it on parameters that require gradients; `model_forward`
-runs it without dropout on the same parameters wrapped as constants, so the
-tape records nothing. With dropout off the two therefore compute the same
-numbers, and training scores validation from the logits of the next step's
-taped forward instead of running `model_forward` after every update.
+There is one forward pass, `taped_forward`: the interaction forward that
+`interaction.forward_all_nodes` records, dropout included, and propagation.
+Training records it on parameters that require gradients, for its epoch;
+`model_forward` runs it with no epoch, so without dropout, on the same
+parameters wrapped as constants, so the tape records nothing. With dropout
+off the two therefore compute the same numbers, and training scores
+validation from the logits of the next step's taped forward instead of
+running `model_forward` after every update.
 
 Both run everything before propagation (the per-node interaction function,
 from the embedding lookup to the fused (N, C) rows) over cache-sized blocks of
@@ -28,7 +29,6 @@ import numpy as np
 from .autodiff import Tape, Tensor, backward, softmax_rows
 from .graph import CsrMatrix
 from .interaction import forward_all_nodes
-from .rng import DROPOUT, stream_rng
 
 if TYPE_CHECKING:  # training imports this module
     from .training import TrainConfig
@@ -75,48 +75,11 @@ def param_shapes(num_features: int, num_classes: int, config: TrainConfig) -> di
     return shapes
 
 
-def dropout_mask(shape, rate: float, seed: int, epoch: int, site_idx: int = 0,
-                 offset: int = 0) -> np.ndarray:
-    """Inverted-dropout mask: entries are 0 or 1/(1-rate), expectation one.
-
-    site_idx picks the stream: 0 embedding rows, 1 local projection input,
-    2 global projection input. The mask holds the draws `offset` to
-    `offset + prod(shape)` of that stream, so the block of a larger mask that
-    starts at flat position `offset` is drawn without the rest of it: Philox
-    makes four draws per counter step, so the generator advances `offset // 4`
-    steps and discards `offset % 4` draws.
-    """
-    rng = stream_rng(seed, DROPOUT, substream=4 * epoch + site_idx)
-    rng.bit_generator.advance(offset // 4)
-    rng.random(offset % 4)
-    keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
-
-
-def epoch_dropout(config: TrainConfig, epoch: int):
-    """The `dropout(site, shape, offset)` callable of `forward_all_nodes` for
-    training epoch `epoch`, its masks drawn from (config.seed, epoch); None
-    without dropout."""
-    if config.dropout <= 0.0:
-        return None
-    sites = {"embedding": (0,), "projections": (1, 2), "both": (0, 1, 2)}[config.dropout_site]
-
-    def masks(site: int, shape, offset: int) -> Tensor | None:
-        if site not in sites:
-            return None
-        return Tensor(dropout_mask(shape, config.dropout, config.seed, epoch, site, offset))
-
-    return masks
-
-
 def taped_forward(tape: Tape, params: ModelParams, sample, norm_adj: CsrMatrix,
-                  config: TrainConfig, dropout=None) -> Tensor:
+                  config: TrainConfig, epoch: int | None = None) -> Tensor:
     """Record the forward pass on `tape`; returns the propagated logits tensor.
-
-    `dropout` is the mask callable of `forward_all_nodes` (see `epoch_dropout`);
-    None drops nothing.
-    """
-    h = forward_all_nodes(params.embedding, params, config, sample, tape, dropout)
+    The dropout masks are training epoch `epoch`'s; None drops nothing."""
+    h = forward_all_nodes(params.embedding, params, config, sample, tape, epoch)
     return tape.sparse_propagate(norm_adj, h, config.hops)
 
 
@@ -150,14 +113,14 @@ def predict(logits: np.ndarray) -> np.ndarray:
 
 def training_step(params, sample, norm_adj, config, labels, train_ids, epoch: int = 0):
     """One taped forward/backward of training epoch `epoch`; returns (loss
-    value, gradient dict, logits). The L2 weight is `config.eta`, the dropout
-    masks are drawn from (config.seed, epoch).
+    value, gradient dict, logits). The L2 weight is `config.eta`; the per-node
+    stage draws the epoch's dropout masks from (config.seed, epoch).
 
     The logits are the taped forward's propagated output (N, C); with dropout
     off they are `model_forward`'s, the same forward on the same parameters.
     """
     tape = Tape()
-    y = taped_forward(tape, params, sample, norm_adj, config, epoch_dropout(config, epoch))
+    y = taped_forward(tape, params, sample, norm_adj, config, epoch)
     lt = taped_loss(tape, y, labels, train_ids, config.eta, params)
     grads = backward(tape, lt)
     return lt.item(), grads, y.data

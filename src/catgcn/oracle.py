@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .interaction import local_biinteraction
+from .autodiff import local_biinteraction
 from .rng import stream_rng
 
 

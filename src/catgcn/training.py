@@ -13,6 +13,7 @@ import numpy as np
 from .autodiff import Tensor, masked_ce_mean
 from .data import DataError, RawDataset, make_split, sample_features
 from .graph import build_adjacency, normalize_sym
+from .interaction import DROPOUT_SITES
 from .model import ModelParams, model_forward, param_shapes, predict, training_step
 from .rng import XAVIER, derive_cell_seed, stream_rng
 
@@ -23,7 +24,7 @@ _CHOICES = {
     "monitor": ("macro_f1", "accuracy", "loss"),
     "final_activation": ("identity", "relu"),
     "variant": ("catgcn", "meanpool"),
-    "dropout_site": ("embedding", "projections", "both"),
+    "dropout_site": tuple(DROPOUT_SITES),
 }
 
 

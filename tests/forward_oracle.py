@@ -13,10 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from catgcn.autodiff import masked_ce_mean
+from catgcn.autodiff import artificial_propagate, local_biinteraction, masked_ce_mean
 from catgcn.graph import propagate
-from catgcn.interaction import artificial_propagate, local_biinteraction
-from catgcn.model import dropout_mask
+from catgcn.interaction import dropout_mask
 
 
 @dataclass

@@ -19,6 +19,7 @@ import numpy as np
 
 from catgcn import graph as graphmod
 from catgcn.autodiff import masked_ce_mean, softmax_rows
+from catgcn.interaction import DROPOUT_SITES, dropout_mask
 
 
 def local_biinteraction(e: np.ndarray) -> np.ndarray:
@@ -242,15 +243,18 @@ def backward(tape: Tape, loss: Tensor) -> dict:
 
 
 
-def taped_forward(tape: Tape, params, sample, norm_adj, config, dropout=None) -> Tensor:
+def taped_forward(tape: Tape, params, sample, norm_adj, config, epoch=None) -> Tensor:
     """The propagated logits of all N nodes recorded on `tape` in one pass:
     gather, row weights, dropout site 0, the global route (recorded first),
-    the local route, their projections, fusion and propagation.
-    `dropout(site, shape, offset)` is `catgcn.model.epoch_dropout`'s callable."""
+    the local route, their projections, fusion and propagation. The dropout
+    sites apply training epoch `epoch`'s whole masks; None drops nothing."""
+    sites = () if epoch is None or config.dropout <= 0.0 else DROPOUT_SITES[config.dropout_site]
 
     def drop(x, site):
-        mask = dropout(site, x.shape, 0) if dropout is not None else None
-        return x if mask is None else tape.elementwise_mul(x, mask)
+        if site not in sites:
+            return x
+        mask = dropout_mask(x.shape, config.dropout, config.seed, epoch, site)
+        return tape.elementwise_mul(x, Tensor(mask))
 
     def project(h, w, b, w_hidden, b_hidden):
         if w_hidden is not None:

@@ -574,6 +574,18 @@ def test_grid_jobs_below_one_is_usage_error_before_loading(tmp_path, capsys, job
     assert not (tmp_path / "grid.json").exists()
 
 
+def test_grid_out_dir_under_a_file_is_io_error_before_training(dataset_dir, tmp_path, capsys,
+                                                               monkeypatch):
+    calls = []
+    monkeypatch.setattr("catgcn.training.train", lambda *a, **k: calls.append(a))
+    (tmp_path / "file").write_text("")
+    code, _, err = run(capsys, "grid", *data_args(dataset_dir), "--alpha-grid", "0.0,0.5,1.0",
+                       "--max-epochs", "3", "--out-dir", str(tmp_path / "file" / "out"))
+    assert code == 3
+    assert "error:" in err
+    assert calls == []
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["train", "--bogus-flag", "1"])

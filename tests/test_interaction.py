@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catgcn.autodiff import Tape, Tensor
-from catgcn.interaction import artificial_propagate, forward_all_nodes, local_biinteraction
+from catgcn.autodiff import Tape, Tensor, artificial_propagate, local_biinteraction
+from catgcn.interaction import forward_all_nodes
 from catgcn.oracle import biinteraction_pairwise, probe_matrix
 from catgcn.training import TrainConfig
 from forward_oracle import global_interaction
@@ -34,7 +34,7 @@ def forward(table, params, config, sample):
     """forward_all_nodes on constant tensors, as an array."""
     consts = SimpleNamespace(**{k: None if v is None else Tensor(v)
                                 for k, v in vars(params).items()})
-    return forward_all_nodes(Tensor(table), consts, config, sample, Tape(), None).data
+    return forward_all_nodes(Tensor(table), consts, config, sample, Tape()).data
 
 
 def embedded(table, sample):

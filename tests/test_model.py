@@ -17,15 +17,8 @@ from catgcn.autodiff import Tape, Tensor, backward, finite_diff_check
 from catgcn.checkpoint import load_checkpoint, save_checkpoint
 from catgcn.data import generate_synthetic, make_split, sample_features
 from catgcn.graph import build_adjacency, normalize_sym
-from catgcn.model import (
-    dropout_mask,
-    epoch_dropout,
-    model_forward,
-    predict,
-    taped_forward,
-    taped_loss,
-    training_step,
-)
+from catgcn.interaction import dropout_mask
+from catgcn.model import model_forward, predict, taped_forward, taped_loss, training_step
 from catgcn.training import TrainConfig, xavier_init
 
 
@@ -77,7 +70,7 @@ def test_taped_forward_with_dropout_matches_numpy_mirror():
             ds, cfg, norm, sample, params = setup(dropout=0.4, dropout_site=site, **route)
             cfg = dataclasses.replace(cfg, seed=3)
             tape = Tape()
-            y = taped_forward(tape, params, sample, norm, cfg, epoch_dropout(cfg, 5))
+            y = taped_forward(tape, params, sample, norm, cfg, 5)
             out = oracle.model_forward(params, sample, norm, cfg, mode="train", epoch=5)
             assert np.array_equal(y.data, out), (site, route)
 
@@ -122,13 +115,16 @@ def test_dropout_mask_blocks_concatenate_to_the_full_draw():
 
 
 def test_eval_mode_never_drops():
-    ds, cfg, norm, sample, params = setup(dropout=0.9, dropout_site="both")
-    out = model_forward(params, sample, norm, cfg)
-    undropped = taped_forward(Tape(), params, sample, norm, cfg)
-    dropped = taped_forward(Tape(), params, sample, norm, cfg,
-                            epoch_dropout(dataclasses.replace(cfg, seed=99), 7))
-    assert np.array_equal(out, undropped.data)
-    assert not np.array_equal(out, dropped.data)
+    for rate in (0.5, 0.9):
+        ds, cfg, norm, sample, params = setup(dropout=rate, dropout_site="both")
+        out = model_forward(params, sample, norm, cfg)
+        undropped = taped_forward(Tape(), params, sample, norm, cfg, epoch=None)
+        plain = taped_forward(Tape(), params, sample, norm, dataclasses.replace(cfg, dropout=0.0))
+        dropped = taped_forward(Tape(), params, sample, norm,
+                                dataclasses.replace(cfg, seed=99), 7)
+        assert np.array_equal(out, undropped.data)
+        assert np.array_equal(undropped.data, plain.data)
+        assert not np.array_equal(out, dropped.data)
 
 
 def test_model_forward_records_nothing(monkeypatch):
@@ -204,7 +200,7 @@ def reference_training_step(params, sample, norm, cfg, labels, train_ids, epoch)
     """`training_step` recorded in one pass over all nodes on the reference
     tape with its kernels, and replayed there."""
     tape = tape_oracle.Tape()
-    y = tape_oracle.taped_forward(tape, params, sample, norm, cfg, epoch_dropout(cfg, epoch))
+    y = tape_oracle.taped_forward(tape, params, sample, norm, cfg, epoch)
     lt = taped_loss(tape, y, labels, train_ids, cfg.eta, params)
     return lt.item(), tape_oracle.backward(tape, lt), y.data
 
@@ -542,7 +538,7 @@ def test_whole_model_gradient_in_node_blocks(monkeypatch):
 
     def f():
         tape = Tape()
-        y = taped_forward(tape, params, sample, norm, cfg, epoch_dropout(cfg, 2))
+        y = taped_forward(tape, params, sample, norm, cfg, 2)
         return tape, taped_loss(tape, y, ds.labels, split.train_ids, 0.001, params)
 
     assert finite_diff_check(f, params.named_tensors().values(), step=1e-5) <= 1e-4

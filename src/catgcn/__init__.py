@@ -20,7 +20,7 @@ from .data import (
     sample_features,
     write_dataset,
 )
-from .graph import CsrMatrix, DegreeVector, build_adjacency, normalize_sym, propagate, spmm
+from .graph import CsrMatrix, build_adjacency, normalize_sym, propagate, spmm
 from .interaction import forward_all_nodes
 from .model import ModelParams, model_forward, predict
 from .oracle import (

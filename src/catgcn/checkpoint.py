@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -63,8 +64,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict, int]:
     """Returns (params, resolved config dict, seed); round-trips save_checkpoint exactly.
 
     Raises DataError naming `path` for a file that is not a whole, well-formed
-    checkpoint: bad magic or version, a header or payload cut short, or a
-    section table that does not fit the payload.
+    checkpoint: bad magic or version, a header or payload cut short, or a section table
+    that overruns the payload, repeats a section, or names one unknown or misses one required.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -93,22 +94,25 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict, int]:
             f"{path}: truncated checkpoint: {len(payload)}-byte payload is not whole float64 values"
         )
     data = np.frombuffer(payload, dtype="<f8")
-    fields: dict[str, Tensor | None] = {n: None for n in ModelParams._ORDER}
+    names = {f.name: f for f in fields(ModelParams)}
+    tensors: dict[str, Tensor] = {}
     for sec in sections:
         name, shape, offset, count = _section_entry(path, sec)
-        if name not in fields:
+        if name not in names:
             raise DataError(f"{path}: unknown checkpoint section {name!r}")
+        if name in tensors:
+            raise DataError(f"{path}: checkpoint section {name!r} appears twice")
         if offset + count > len(data):
             raise DataError(
                 f"{path}: truncated checkpoint: section {name!r} needs float64 values"
                 f" {offset}..{offset + count} but the payload holds {len(data)}"
             )
         arr = data[offset : offset + count].reshape(shape)
-        fields[name] = Tensor(arr.astype(np.float64), requires_grad=True)
-    missing = [n for n in ("embedding", "w_conv", "w_g", "b_g", "w_l", "b_l") if fields[n] is None]
+        tensors[name] = Tensor(arr.astype(np.float64), requires_grad=True)
+    missing = [n for n, f in names.items() if f.default is MISSING and n not in tensors]
     if missing:
         raise DataError(f"{path}: checkpoint missing sections {missing}")
-    return ModelParams(**fields), config, seed
+    return ModelParams(**tensors), config, seed
 
 
 def _section_entry(path: str, sec) -> tuple[str, list, int, int]:

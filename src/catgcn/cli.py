@@ -24,7 +24,7 @@ from .data import (
     write_dataset,
 )
 from .model import ModelParams, model_forward, param_shapes
-from .oracle import certify_theorem, run_verification, spectrum_check
+from .oracle import THEOREM_CORNERS, certify_theorem, run_verification, spectrum_check
 from .training import (
     GRID_AXES,
     TrainConfig,
@@ -229,7 +229,7 @@ def _check_fits(path: str, params, config, dataset) -> None:
     rows = have["embedding"][0] if have["embedding"] else 0
     classes = have["b_l"][0] if have["b_l"] else 0
     want = param_shapes(rows, classes, config)
-    for name in ModelParams._ORDER:
+    for name in (f.name for f in dataclasses.fields(ModelParams)):
         if have.get(name) != want.get(name):
             got = "is missing" if name not in have else f"has shape {list(have[name])}"
             implied = "no such section" if name not in want else list(want[name])
@@ -289,6 +289,8 @@ _VERIFY_CHECKS = (
          spectrum_check(spectrum_n, spectrum_rho))),
     ("the full report", (), ("theorem_cells", "bi_matrices", "seed"), run_verification),
 )
+# the least count of each full-report check: a sweep certifies its pinned corners first
+_VERIFY_MINIMUMS = {"theorem_cells": len(THEOREM_CORNERS), "bi_matrices": 1}
 
 
 def _flags(names, one: str, many: str) -> str:
@@ -311,6 +313,10 @@ def cmd_verify(args) -> int:
         raise ValueError("verify runs one check at a time: " + "; ".join(
             f"{_flags(given, 'belongs', 'belong')} to {check}" for check, given, _ in chosen))
     _, given, runner = chosen[0] if chosen else (None, {}, run_verification)
+    for name, least in _VERIFY_MINIMUMS.items():
+        if given.get(name, least) < least:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, "
+                             f"got {given[name]}")
     report = runner(**given)
     _emit(report)
     return 0 if report["passed"] else 1

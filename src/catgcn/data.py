@@ -418,14 +418,20 @@ def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
     A node's keys are distinct (`counter_keys` is a bijection of the slot),
     so the key order within a bag is unique. It comes from one
     `argsort(axis=1)` per group of same-size bags (`size_groups`), which
-    equals a sort by (node, key) over all slots.
+    equals a sort by (node, key) over all slots. A sample too large to
+    allocate raises DataError.
     """
     if n_f < 1:
         raise ValueError(f"n_f must be >= 1, got {n_f}")
     # the outputs are allocated before the temporaries: a long-lived block
     # allocated after them would pin the freed memory above it in the heap
-    ids = np.empty((ds.num_nodes, n_f), dtype=np.int64)
-    weights = np.empty((ds.num_nodes, n_f))
+    try:
+        ids = np.empty((ds.num_nodes, n_f), dtype=np.int64)
+        weights = np.empty((ds.num_nodes, n_f))
+    except (MemoryError, ValueError):
+        # MemoryError: the allocation failed; ValueError: its byte count overflows
+        raise DataError(f"cannot allocate the feature sample: n_f is {n_f} for "
+                        f"{ds.num_nodes} nodes") from None
     sizes = np.diff(ds.bag_offsets)
     for nodes in size_groups(sizes):
         size = int(sizes[nodes[0]])

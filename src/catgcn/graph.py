@@ -41,13 +41,6 @@ class CsrMatrix:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeVector:
-    """Self-loop-augmented degrees; every entry >= 1 because of the added self loop."""
-
-    degrees: np.ndarray  # float64, length num_nodes
-
-
 def _expand_rows(row_offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(row_offsets) - 1, dtype=np.int64), np.diff(row_offsets))
 
@@ -132,11 +125,11 @@ def build_adjacency(edges, num_nodes: int) -> CsrMatrix:
     return _csr_from_coo(both[:, 0], both[:, 1], np.ones(len(both)), num_nodes, num_nodes)
 
 
-def normalize_sym(adj: CsrMatrix) -> tuple[CsrMatrix, DegreeVector]:
-    """Symmetrically normalized adjacency with self loops added.
+def normalize_sym(adj: CsrMatrix) -> tuple[CsrMatrix, np.ndarray]:
+    """(symmetrically normalized adjacency, float64 degrees d), self loops added, so d >= 1.
 
-    Entry (i, j) is 1/(sqrt(d_i)*sqrt(d_j)) where d are degrees after adding
-    the self loop. The product commutes, so (i, j) and (j, i) are bit-equal.
+    Entry (i, j) is 1/(sqrt(d_i)*sqrt(d_j)). The product commutes, so (i, j)
+    and (j, i) are bit-equal.
     """
     if adj.num_rows != adj.num_cols:
         raise ValueError("adjacency must be square")
@@ -158,7 +151,7 @@ def normalize_sym(adj: CsrMatrix) -> tuple[CsrMatrix, DegreeVector]:
     inv_sqrt = 1.0 / np.sqrt(degrees)
     vals = inv_sqrt[rows_aug] * inv_sqrt[cols_aug]
     norm = _csr_from_coo(rows_aug, cols_aug, vals, n, n)
-    return norm, DegreeVector(degrees)
+    return norm, degrees
 
 
 # byte budget of the (entries, C) float64 products one row chunk of `spmm`

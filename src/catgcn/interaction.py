@@ -30,9 +30,9 @@ ordinary record whose inputs are the live parameters and the table. Its
 backward rule walks the blocks in order. For each block it recomputes the
 function on a block-local `Tape`, replays that tape from the block's rows of
 the upstream gradient (`autodiff.replay`, whose scalar case is `backward`),
-and adds every input's gradient in block order. When the table has more rows
-than the block has feature ids, the block tape gathers from only the rows its
-nodes use, so no block's scatter is larger than the block. The run's tape
+and adds every input's gradient in block order. The block tape gathers from
+only the table rows its nodes use (`np.unique` of its ids), so no block's
+scatter is larger than the block, whatever the vocabulary. The run's tape
 therefore holds only (N, C) arrays; the price is one more pass of the per-node
 forward in the backward. Train and eval run the same blocks, so the taped
 logits are `model_forward`'s bit for bit. But the 2-D projection gemms run per
@@ -192,17 +192,10 @@ def forward_all_nodes(table: Tensor, params, config: TrainConfig, sample, tape: 
     def vjp(g):
         grads = dict.fromkeys(arrays)
         for rows in blocks:
-            ids = sample.ids[rows]
-            used = slice(None)  # the table rows the block's tape gathers from
-            if arrays["table"].shape[0] > ids.size:
-                # a table with more rows than the block has ids: gather from the
-                # rows it uses, so that its scatter is no larger than the block.
-                # Otherwise the block skips `np.unique`; taking the unique rows
-                # always keeps the bits, and at 10k nodes, n_f 10, d 32 neither
-                # side's step was faster beyond run-to-run spread (8 alternating
-                # runs, 2-vCPU host), so each training workload runs one side
-                used, ids = np.unique(ids, return_inverse=True)
-                ids = ids.reshape(rows.stop - rows.start, -1)
+            # the block's tape gathers from, and scatters into, only the table
+            # rows its nodes use, so no scatter is larger than the block
+            used, ids = np.unique(sample.ids[rows], return_inverse=True)
+            ids = ids.reshape(rows.stop - rows.start, -1)
             block_leaves = {name: Tensor(a[used] if name == "table" else a,
                                          requires_grad=needs[name])
                             for name, a in arrays.items()}

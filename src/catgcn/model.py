@@ -21,7 +21,7 @@ Propagation runs once on all N rows, as it mixes nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,8 +36,8 @@ if TYPE_CHECKING:  # training imports this module
 
 @dataclass
 class ModelParams:
-    """All trainable tensors. Iteration order is fixed; init, Adam state,
-    checkpoints, and regularization all follow it."""
+    """All trainable tensors, in field order, which init, Adam state, checkpoints and
+    regularization all follow; the fields without a default are in every model."""
 
     embedding: Tensor  # (d, d_emb)
     w_conv: Tensor
@@ -50,18 +50,12 @@ class ModelParams:
     w_l_hidden: Tensor | None = None
     b_l_hidden: Tensor | None = None
 
-    _ORDER = (
-        "embedding", "w_conv", "w_g", "b_g", "w_l", "b_l",
-        "w_g_hidden", "b_g_hidden", "w_l_hidden", "b_l_hidden",
-    )
-
     def named_tensors(self) -> dict:
-        return {n: t for n in self._ORDER if (t := getattr(self, n)) is not None}
+        return {f.name: t for f in fields(self) if (t := getattr(self, f.name)) is not None}
 
     def copy(self) -> "ModelParams":
-        kw = {n: Tensor(t.data.copy(), requires_grad=True) if t is not None else None
-              for n in self._ORDER for t in (getattr(self, n),)}
-        return ModelParams(**kw)
+        return ModelParams(**{n: Tensor(t.data.copy(), requires_grad=True)
+                              for n, t in self.named_tensors().items()})
 
 
 def param_shapes(num_features: int, num_classes: int, config: TrainConfig) -> dict:

@@ -127,15 +127,17 @@ def certify_theorem(n: int, rho1: float, hops: int, tolerance: float = 1e-10) ->
     )
 
 
+THEOREM_CORNERS = ((2, 0.0, 1), (2, 50.0, 6), (20, 0.0, 6), (20, 50.0, 1), (10, 21.0, 2))
+
+
 def theorem_sweep(num_cells: int = 200, seed: int = 0, tolerance: float = 1e-10):
-    """Certificates across the (n, rho1, hops) space, corners pinned."""
+    """Certificates across the (n, rho1, hops) space, the first always `THEOREM_CORNERS`."""
     rng = stream_rng(seed, stream=7)
     ns = rng.integers(2, 21, size=num_cells)
     rhos = rng.uniform(0.0, 50.0, size=num_cells)
     hops = rng.integers(1, 7, size=num_cells)
-    corners = [(2, 0.0, 1), (2, 50.0, 6), (20, 0.0, 6), (20, 50.0, 1), (10, 21.0, 2)]
-    cells = corners + [
-        (int(ns[i]), float(rhos[i]), int(hops[i])) for i in range(len(corners), num_cells)
+    cells = list(THEOREM_CORNERS) + [
+        (int(ns[i]), float(rhos[i]), int(hops[i])) for i in range(len(THEOREM_CORNERS), num_cells)
     ]
     return [certify_theorem(n, r, k, tolerance) for n, r, k in cells]
 
@@ -222,27 +224,28 @@ def run_verification(
     theorem = theorem_sweep(theorem_cells, seed=seed)
     spectra = [spectrum_check(n, rho) for n in spectrum_ns for rho in spectrum_rhos]
     bi_gap = biinteraction_agreement(bi_matrices, seed=seed)
+    bi_tolerance = 1e-12
     failed_theorem = [asdict(c) for c in theorem if not c.passed]
     failed_spectra = [asdict(s) for s in spectra if not s.passed]
-    passed = not failed_theorem and not failed_spectra and bi_gap <= 1e-12
+    passed = not failed_theorem and not failed_spectra and bi_gap <= bi_tolerance
     return {
         "passed": passed,
         "theorem": {
             "cells": len(theorem),
             "max_abs_diff": max(c.max_abs_diff for c in theorem),
-            "tolerance": 1e-10,
+            "tolerance": theorem[0].tolerance,
             "failed_cells": failed_theorem,
         },
         "spectrum": {
             "cells": len(spectra),
             "max_residual": max(s.max_residual for s in spectra),
             "max_expected_deviation": max(s.max_expected_deviation for s in spectra),
-            "tolerance": 1e-8,
+            "tolerance": spectra[0].tolerance,
             "failed_cells": failed_spectra,
         },
         "biinteraction": {
             "matrices": bi_matrices,
             "max_relative_gap": bi_gap,
-            "tolerance": 1e-12,
+            "tolerance": bi_tolerance,
         },
     }

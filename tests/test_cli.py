@@ -221,6 +221,35 @@ def test_feature_id_too_large_for_the_table_is_data_error(tmp_path, capsys, fid)
     assert f"the data has {fid + 1} features" in last and "d_emb is 16" in last
 
 
+# 8 * n_f bytes a node overflows numpy's byte count, so the sample is refused at once
+_HUGE_N_F = 2_305_843_009_213_693_952
+
+
+def test_sample_too_large_to_allocate_is_data_error(dataset_dir, tmp_path, capsys):
+    code, _, err = run(capsys, "train", *data_args(dataset_dir), "--n-f", str(_HUGE_N_F),
+                       "--quiet", "--out-dir", str(tmp_path / "out"))
+    assert code == 3 and "Traceback" not in err
+    assert err.splitlines()[-1] == (f"error: cannot allocate the feature sample: "
+                                    f"n_f is {_HUGE_N_F} for 120 nodes")
+
+
+def test_failed_sample_allocation_is_data_error(dataset_dir, tmp_path, capsys, monkeypatch):
+    # the MemoryError numpy raises when the allocation itself fails, here on
+    # the sample's arrays alone, so that nothing large is allocated
+    empty = np.empty
+
+    def refuse_the_sample(shape, *args, **kwargs):
+        if shape == (120, 7):
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse_the_sample)
+    code, _, err = run(capsys, "train", *data_args(dataset_dir), "--n-f", "7", "--quiet",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert "error: cannot allocate the feature sample: n_f is 7 for 120 nodes" in err
+
+
 @pytest.mark.parametrize("cut", ["header", "payload"])
 def test_truncated_checkpoint_is_data_error(dataset_dir, tmp_path, capsys, cut):
     out_dir = tmp_path / "run"
@@ -286,6 +315,15 @@ def test_checkpoint_with_bad_config_is_data_error(small_checkpoint, dataset_dir,
     assert code == 3
     assert f"{bad}: bad checkpoint config" in err
     assert reason in err
+
+
+def test_checkpoint_whose_sample_cannot_be_allocated_is_data_error(
+        small_checkpoint, dataset_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    rewrite_checkpoint_config(small_checkpoint, bad, n_f=_HUGE_N_F)
+    code, _, err = run(capsys, "eval", "--checkpoint", str(bad), *data_args(dataset_dir))
+    assert code == 3
+    assert f"error: cannot allocate the feature sample: n_f is {_HUGE_N_F} for 120 nodes" in err
 
 
 _WRONG_TYPE = {"float": "fast", "int": 4.5, "bool": 1, "str": 3}
@@ -459,13 +497,33 @@ def test_train_without_dataset_flags_is_usage_error(capsys):
     assert code == 2
 
 
-def test_verify_passes(capsys):
-    code, out, _ = run(capsys, "verify", "--theorem-cells", "20", "--bi-matrices", "20")
+@pytest.mark.parametrize("cells, matrices", [(20, 20), (5, 1)])  # (5, 1): the least counts
+def test_verify_passes(capsys, cells, matrices):
+    code, out, _ = run(capsys, "verify", "--theorem-cells", str(cells),
+                       "--bi-matrices", str(matrices))
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
+    assert (report["theorem"]["cells"], report["biinteraction"]["matrices"]) == (cells, matrices)
     assert report["theorem"]["max_abs_diff"] <= 1e-10
     assert report["spectrum"]["max_expected_deviation"] <= 1e-8
+    assert [report[k]["tolerance"] for k in ("theorem", "spectrum", "biinteraction")] == [
+        1e-10, 1e-8, 1e-12]
+
+
+@pytest.mark.parametrize("given, message", [
+    (["--theorem-cells", "2"], "--theorem-cells must be at least 5, got 2"),
+    (["--theorem-cells", "-3"], "--theorem-cells must be at least 5, got -3"),
+    (["--theorem-cells", "0", "--bi-matrices", "0"], "--theorem-cells must be at least 5, got 0"),
+    (["--bi-matrices", "0"], "--bi-matrices must be at least 1, got 0"),
+])
+def test_verify_count_below_its_check_is_usage_error(capsys, given, message):
+    # the sweep always certifies its 5 pinned corners, and a bilinear check
+    # over no matrix compares nothing
+    code, out, err = run(capsys, "verify", *given)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {message}"
 
 
 def test_verify_single_theorem_cell(capsys):
@@ -562,6 +620,31 @@ def test_grid_command_and_jobs_parity(dataset_dir, tmp_path, capsys):
     rows = json.loads((tmp_path / "g1/grid.json").read_text())
     assert len(rows) == 4
     assert best["best_val_macro_f1"] == max(r["best_val_macro_f1"] for r in rows)
+
+
+_ONE_AXIS = ["--eta-grid", "0.0", "--dropout-grid", "0.0", "--alpha-grid", "0.5",
+             "--max-epochs", "3", "--d-emb", "8", "--d-hidden", "8", "--n-f", "6", "--seed", "1"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_skips_a_diverging_cell(dataset_dir, tmp_path, capsys):
+    code, out, _ = run(capsys, "grid", *data_args(dataset_dir), *_ONE_AXIS,
+                       "--learning-rate-grid", "1e200,0.01", "--out-dir", str(tmp_path))
+    assert code == 0
+    cells = json.loads((tmp_path / "grid.json").read_text())
+    assert [c.get("failed", False) for c in cells] == [True, False]
+    assert "non-finite" in cells[0]["error"]
+    assert json.loads(out) == cells[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_where_every_cell_diverges_exits_4(dataset_dir, tmp_path, capsys):
+    code, out, err = run(capsys, "grid", *data_args(dataset_dir), *_ONE_AXIS,
+                         "--learning-rate-grid", "1e200,1e250", "--out-dir", str(tmp_path))
+    assert code == 4
+    assert out == ""
+    assert "every cell failed" in err
+    assert all(c["failed"] for c in json.loads((tmp_path / "grid.json").read_text()))
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

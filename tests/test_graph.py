@@ -41,7 +41,7 @@ def test_normalize_frozen_path_graph():
     assert dense[1, 1] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert dense[0, 1] == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-15)
     assert dense[0, 2] == 0.0
-    assert np.array_equal(deg.degrees, [2.0, 3.0, 2.0])
+    assert deg.dtype == np.float64 and np.array_equal(deg, [2.0, 3.0, 2.0])
 
 
 def test_normalize_frozen_two_clique():
@@ -55,7 +55,22 @@ def test_normalize_isolated_node_keeps_self_loop():
     norm, deg = normalize_sym(adj)
     dense = norm.to_dense()
     assert dense[2, 2] == 1.0
-    assert deg.degrees[2] == 1.0
+    assert deg[2] == 1.0
+
+
+def csr(num_rows, num_cols, row_offsets, col_indices):
+    return CsrMatrix(num_rows, num_cols, np.array(row_offsets, dtype=np.int64),
+                     np.array(col_indices, dtype=np.int64), np.ones(len(col_indices)))
+
+
+@pytest.mark.parametrize("adj, message", [
+    (csr(2, 3, [0, 1, 2], [1, 0]), "adjacency must be square"),
+    (csr(2, 2, [0, 2, 3], [0, 1, 0]), "zero diagonal"),
+    (csr(3, 3, [0, 1, 2, 2], [1, 2]), "adjacency must be symmetric"),
+], ids=["not-square", "diagonal", "not-symmetric"])
+def test_normalize_rejects_what_is_not_a_simple_undirected_graph(adj, message):
+    with pytest.raises(ValueError, match=message):
+        normalize_sym(adj)
 
 
 def test_normalize_values_are_bit_symmetric():

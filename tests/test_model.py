@@ -663,14 +663,38 @@ def test_checkpoint_faults_are_data_errors(tmp_path):
     save_checkpoint(path, params, asdict(cfg), cfg.seed)
     blob = open(path, "rb").read()
     (hlen,) = struct.unpack_from("<Q", blob, 12)
-    header = json.loads(blob[20 : 20 + hlen])
-    header["sections"][-1]["offset"] += 1  # last section now overruns the payload
-    moved = json.dumps(header).encode()
-    bad = {f"cut{n}": blob[:n] for n in (8, 19, 20, 21, 20 + hlen - 1, len(blob) - 8)}
-    bad["overrun"] = blob[:12] + struct.pack("<Q", len(moved)) + moved + blob[20 + hlen :]
-    bad["not json"] = blob[:20] + b"{" * hlen + blob[20 + hlen :]
-    for name, data in bad.items():
+
+    def with_sections(edit):
+        """The checkpoint with its header's section table replaced by `edit` of it."""
+        header = json.loads(blob[20 : 20 + hlen])
+        header["sections"] = edit({s["name"]: s for s in header["sections"]})
+        raw = json.dumps(header).encode()
+        return blob[:12] + struct.pack("<Q", len(raw)) + raw + blob[20 + hlen :]
+
+    def overrun(s):  # b_l, the last section, now overruns the payload
+        s["b_l"]["offset"] += 1
+        return list(s.values())
+
+    # file bytes, and what the message says besides the path
+    bad = {f"cut{n}": (blob[:n], "") for n in (8, 19, 20, 21, 20 + hlen - 1, len(blob) - 8)}
+    bad["not json"] = (blob[:20] + b"{" * hlen + blob[20 + hlen :], "malformed checkpoint header")
+    bad["version 2"] = (blob[:8] + struct.pack("<I", 2) + blob[12:],
+                        "unsupported checkpoint format version 2")
+    bad["overrun"] = (with_sections(overrun), "truncated checkpoint: section 'b_l'")
+    bad["twice"] = (  # w_g again, reading the embedding's values
+        with_sections(lambda s: [*s.values(), {**s["w_g"], "offset": 0}]),
+        "checkpoint section 'w_g' appears twice")
+    bad["unknown"] = (with_sections(lambda s: [*s.values(), {**s["b_g"], "name": "b_x"}]),
+                      "unknown checkpoint section 'b_x'")
+    bad["missing"] = (with_sections(lambda s: [v for k, v in s.items() if k != "w_conv"]),
+                      "checkpoint missing sections ['w_conv']")
+    bad["malformed entry"] = (
+        with_sections(lambda s: [*s.values(), {"name": "w_g_hidden", "shape": [2, 2]}]),
+        "malformed checkpoint section")
+    bad["sections not a list"] = (with_sections(lambda s: s),
+                                  "malformed checkpoint header: bad sections or config")
+    for name, (data, message) in bad.items():
         with open(path, "wb") as fh:
             fh.write(data)
-        with pytest.raises(DataError, match=re.escape(path)):
+        with pytest.raises(DataError, match=re.escape(path) + ".*" + re.escape(message)):
             load_checkpoint(path)

@@ -169,6 +169,16 @@ def test_train_runs_and_early_stops():
     assert 0.0 <= metrics["test_accuracy"] <= 1.0
 
 
+def test_held_out_metrics_without_kept_logits_runs_the_eval_forward():
+    ds = generate_synthetic("local-signal", 120, 40, 3, 6, 0.05, 0.05, seed=5)
+    cfg = TrainConfig(learning_rate=0.05, alpha=0.5, hops=1, d_emb=8, d_hidden=8,
+                      n_f=6, max_epochs=6, seed=2)
+    result = train(cfg, ds)
+    assert result.val_logits is not None
+    bare = dataclasses.replace(result, val_logits=None)
+    assert held_out_metrics(bare, ds) == held_out_metrics(result, ds)
+
+
 def test_train_returns_best_epoch_parameters():
     ds = generate_synthetic("local-signal", 120, 40, 3, 6, 0.05, 0.05, seed=5)
     cfg = TrainConfig(learning_rate=0.05, alpha=0.0, hops=0, d_emb=8, d_hidden=8,

@@ -4,6 +4,14 @@ File formats (UTF-8, LF, tab-separated, `#` comment lines ignored):
   edges.tsv     u<TAB>v            undirected, 0-based node ids
   features.tsv  node<TAB>tok ...   tok is `id` or `id:weight`; one line per node
   labels.tsv    node<TAB>class     nodes may be missing (unlabeled)
+
+The loader parses each file from its bytes (`_scan`): numpy finds the line
+breaks, TABs and spaces, and builds the value of every field of 1 to 18 ASCII
+digits with one pass per digit position. A line with any other field (a sign,
+`_`, non-ASCII digits, surrounding whitespace, 19 digits or more, a
+`:weight`, or a bag split at other whitespace) is parsed from its text with
+`int()` and `float()`, so each file is accepted or rejected as it would be
+line by line.
 """
 
 from __future__ import annotations
@@ -63,26 +71,33 @@ class FeatureSample:
     weights: np.ndarray
 
 
-def _read_lines(path: str) -> tuple[list, list]:
-    """(line numbers, lines) of the non-blank, non-comment lines, LF stripped.
-
-    `readlines` splits where iterating the file does: at LF, CRLF and a lone CR.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            raw = list(map(str.rstrip, fh.readlines(), itertools.repeat("\n")))
-    except UnicodeDecodeError:
-        # the text reader's offset is relative to its buffer; decode whole for the file's
-        with open(path, "rb") as fh:
-            blob = fh.read()
+def _read_text(path: str) -> bytes:
+    """The file's bytes, checked to be UTF-8 text; an all-ASCII file is."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if not blob.isascii():
         try:
             blob.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: byte {exc.start} "
                             f"({blob[exc.start]:#04x}): {exc.reason}") from None
-        raise
-    linenos = [i for i, line in enumerate(raw, start=1) if line and line[0] != "#"]
-    return linenos, raw if len(linenos) == len(raw) else [raw[i - 1] for i in linenos]
+    return blob
+
+
+@dataclass(frozen=True)
+class _Lines:
+    """The non-blank, non-comment lines of a UTF-8 file, as byte bounds into its bytes."""
+
+    blob: bytes
+    start: np.ndarray  # int64, each line's first byte
+    end: np.ndarray  # int64, one past each line's last byte
+    lineno: np.ndarray  # int64, 1-based line numbers in the file
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def text(self, k: int) -> str:
+        return self.blob[self.start[k]:self.end[k]].decode("utf-8")
 
 
 def _parse_int(tok: str, what: str, path: str, lineno: int, limit: int | None = None) -> int:
@@ -157,40 +172,99 @@ def _check_line(kind: str, path: str, lineno: int, line: str, num_nodes: int, se
     raise RuntimeError(f"{path}:{lineno}: flagged by the bulk checks, but no rule rejects it")
 
 
-def _raise_first_fault(kind, path, linenos, lines, bad, num_nodes=0, nodes=None) -> None:
+def _raise_first_fault(kind, path, lines, bad, num_nodes=0, nodes=None) -> None:
     """Report the first line that `bad` marks, if any, through `_check_line`."""
     if bad.any():
         k = int(np.argmax(bad))
         seen = set(nodes[:k].tolist()) if nodes is not None else ()
-        _check_line(kind, path, linenos[k], lines[k], num_nodes, seen)
+        _check_line(kind, path, int(lines.lineno[k]), lines.text(k), num_nodes, seen)
 
 
-def _split_pairs(lines: list) -> tuple[list, list, np.ndarray]:
-    """The two tab-separated fields of each line, and a mask of the lines that
-    do not have exactly two (their fields read as empty)."""
-    bad = np.fromiter(map(str.count, lines, itertools.repeat("\t")), np.int64, len(lines)) != 1
-    if bad.any():
-        lines = ["\t" if b else line for line, b in zip(lines, bad.tolist())]
-    fields = "\t".join(lines).split("\t") if lines else []
-    return fields[0::2], fields[1::2], bad
+# a run of at most 18 ASCII digits is below 10**18, so its value fits int64
+_PLAIN_DIGITS = 18
+_TAB, _LF, _CR, _SPACE, _HASH = 9, 10, 13, 32, 35
+
+
+def _scan(path: str, bag: bool) -> tuple:
+    """(lines, plain, heads, tails, sizes) of a `head<TAB>tail` file, parsed from its bytes.
+
+    Lines split where `readlines()` with `newline=""` splits them, at LF, CRLF
+    and a lone CR, and keep what `rstrip("\n")` keeps, so a CR stays in its
+    line; blank and `#` lines are dropped. A line is `plain` if its head is one
+    field of 1 to 18 ASCII digits and its tail is one such field or, for a
+    `bag`, any number of them between spaces. For the plain lines, `heads`
+    holds the heads' values, `tails` the tail fields' values in file order and
+    `sizes` how many tail fields each line has. Every other line (signs,
+    non-ASCII, other whitespace, longer digit runs, `:weight`) is left to the
+    caller, which parses its text.
+    """
+    blob = _read_text(path)
+    b = np.frombuffer(blob, dtype=np.uint8)
+    # every byte that is not an ASCII digit, then the end of the file read as an LF
+    at = np.flatnonzero((b - np.uint8(48)) > 9)
+    pos = np.append(at, len(b))
+    byte = np.append(b[at], np.uint8(_LF))
+    del at
+    lf, cr = byte == _LF, byte == _CR
+    crlf = np.zeros(len(pos), dtype=bool)  # the LF of each CRLF
+    crlf[1:] = cr[:-1] & lf[1:] & (pos[1:] == pos[:-1] + 1)
+    last = np.flatnonzero(lf | cr & ~np.append(crlf[1:], False))  # each line's terminator
+    first = np.concatenate(([0], last[:-1] + 1))
+    start = np.concatenate(([0], pos[last[:-1]] + 1))
+    end = pos[last] + cr[last]
+    kept = end > start
+    kept[kept] = b[start[kept]] != _HASH
+    # the digits before each non-digit byte, capped past the plain limit
+    run = np.diff(pos, prepend=-1)
+    run -= 1
+    np.minimum(run, _PLAIN_DIGITS + 1, out=run)
+    run = run.astype(np.uint8)
+    is_first = np.zeros(len(pos), dtype=bool)
+    is_first[first] = True
+    # a CR is always its line's last byte, and int() and str.split() both
+    # ignore it there, so it bounds a plain field like the line end does
+    fault = (byte != _TAB) & ~lf & ~cr
+    if bag:
+        fault &= byte != _SPACE
+    fault |= (byte == _TAB) != is_first
+    fault |= run > _PLAIN_DIGITS
+    # an empty field: in a bag only the head, as a bag's fields lie between
+    # runs of spaces; elsewhere any but the LF of a CRLF, whose CR ends the field
+    empty = run == 0
+    empty &= is_first if bag else ~crlf
+    fault |= empty
+    plain = ~np.logical_or.reduceat(fault, first) & kept
+    del fault, empty, lf, cr, crlf, byte
+    tail = np.repeat(plain, np.diff(last, prepend=-1))
+    tail &= ~is_first
+    tail &= run > 0
+    sizes = np.add.reduceat(tail, first, dtype=np.int64)[plain]
+    tail = np.flatnonzero(tail)
+    tails = _digit_values(b, pos[tail] - run[tail], run[tail])
+    head = first[plain]
+    heads = _digit_values(b, pos[head] - run[head], run[head])
+    lines = _Lines(blob, start[kept], end[kept], np.flatnonzero(kept) + 1)
+    return lines, plain[kept], heads, tails, sizes
+
+
+def _digit_values(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """int64 values of the runs of `lengths` (1 to 18) ASCII digits at `starts` of `b`:
+    one pass per digit position makes `value * 10 + digit` of the runs still that long."""
+    values = np.zeros(len(starts), dtype=np.int64)
+    at = starts.copy()
+    for k in range(int(lengths.max(initial=0))):
+        live = lengths > k
+        digit = np.take(b, at, mode="clip")
+        digit -= 48
+        np.multiply(values, 10, out=values, where=live)
+        np.add(values, digit, out=values, where=live)
+        at += 1
+    return values
 
 
 def _column(tokens: list, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
     """`convert` of every token as one array, and a mask of the tokens it rejects
-    with ValueError or whose value `dtype` cannot hold; those read as 0.
-
-    An `int` column is parsed in C by `np.array(tokens, dtype)`, which accepts
-    and rejects what `int()` does and raises OverflowError past int64; on any
-    rejection the column is parsed again token by token to find which.
-    """
-    try:
-        if convert is int:
-            values = np.array(tokens, dtype=dtype)
-        else:
-            values = np.fromiter(map(convert, tokens), dtype, len(tokens))
-        return values, np.zeros(len(tokens), bool)
-    except (ValueError, OverflowError):
-        pass
+    with ValueError or whose value `dtype` cannot hold; those read as 0."""
     values = np.zeros(len(tokens), dtype=dtype)
     bad = np.zeros(len(tokens), dtype=bool)
     for i, tok in enumerate(tokens):
@@ -201,35 +275,59 @@ def _column(tokens: list, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
     return values, bad
 
 
-def _parse_pairs(lines: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two integer fields of each `a<TAB>b` line, and a mask of the lines
-    whose layout or integers do not parse."""
-    first, second, bad = _split_pairs(lines)
-    a, bad_a = _column(first, int, np.int64)
-    b, bad_b = _column(second, int, np.int64)
-    return a, b, bad | bad_a | bad_b
+def _odd_fields(lines: _Lines, plain: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """The two tab-separated fields of each line that is not plain, and a mask
+    of those that do not have exactly two (their fields read as empty)."""
+    heads, tails, bad = [], [], []
+    for k in np.flatnonzero(~plain).tolist():
+        parts = lines.text(k).split("\t")
+        ok = len(parts) == 2
+        heads.append(parts[0] if ok else "")
+        tails.append(parts[1] if ok else "")
+        bad.append(not ok)
+    return heads, tails, np.array(bad, dtype=bool)
 
 
-def _parse_features(lines: list) -> tuple:
-    """(node ids, bag sizes, line faults, feature ids, weights, token faults) of
-    `node<TAB>tok ...` lines; token arrays are flat, in file order."""
-    node_toks, bags, bad = _split_pairs(lines)
-    nodes, bad_node = _column(node_toks, int, np.int64)
-    bag_toks = list(map(str.split, bags))
-    sizes = np.fromiter(map(len, bag_toks), dtype=np.int64, count=len(bag_toks))
-    toks = list(itertools.chain.from_iterable(bag_toks))
-    if any(":" in bag for bag in bags):
-        pieces = [tok.partition(":") for tok in toks]
-        fids, bad_tok = _column([p[0] for p in pieces], int, np.int64)
-        weights, bad_w = _column([p[2] for p in pieces], _weight, np.float64)
-        bad_tok |= bad_w | ~np.isfinite(weights) | (weights <= 0)
-    else:
-        fids, bad_tok = _column(toks, int, np.int64)
-        # loading peaks here: free the token list (8 bytes a token) before
-        # the weights take its place
-        del toks
-        weights = np.ones(len(fids))
-    return nodes, sizes, bad | bad_node, fids, weights, bad_tok
+def _merge(plain: np.ndarray, plain_values: np.ndarray, odd_values: np.ndarray) -> np.ndarray:
+    """One array, in file order, of the plain entries' values and the others'."""
+    if len(odd_values) == 0:
+        return plain_values
+    out = np.empty(len(plain), dtype=plain_values.dtype)
+    out[plain] = plain_values
+    out[~plain] = odd_values
+    return out
+
+
+def _parse_pairs(path: str) -> tuple:
+    """(lines, a, b, faults) of an `a<TAB>b` file: the two integer fields of each
+    line, and a mask of the lines whose layout or integers do not parse."""
+    lines, plain, a, b, _ = _scan(path, bag=False)
+    odd_a, odd_b, bad = _odd_fields(lines, plain)
+    odd_a, bad_a = _column(odd_a, int, np.int64)
+    odd_b, bad_b = _column(odd_b, int, np.int64)
+    bad = _merge(plain, np.zeros(len(a), dtype=bool), bad | bad_a | bad_b)
+    return lines, _merge(plain, a, odd_a), _merge(plain, b, odd_b), bad
+
+
+def _parse_features(path: str) -> tuple:
+    """(lines, node ids, bag sizes, line faults, feature ids, weights, token
+    faults) of a `node<TAB>tok ...` file; token arrays are flat, in file order."""
+    lines, plain, nodes, fids, sizes = _scan(path, bag=True)
+    odd_nodes, bags, bad = _odd_fields(lines, plain)
+    odd_nodes, bad_node = _column(odd_nodes, int, np.int64)
+    bags = list(map(str.split, bags))
+    odd_sizes = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
+    pieces = [tok.partition(":") for tok in itertools.chain.from_iterable(bags)]
+    odd_fids, bad_tok = _column([p[0] for p in pieces], int, np.int64)
+    odd_weights, bad_w = _column([p[2] for p in pieces], _weight, np.float64)
+    bad_tok |= bad_w | ~np.isfinite(odd_weights) | (odd_weights <= 0)
+    sizes = _merge(plain, sizes, odd_sizes)
+    plain_tok = np.repeat(plain, sizes)
+    return (lines, _merge(plain, nodes, odd_nodes), sizes,
+            _merge(plain, np.zeros(len(nodes), dtype=bool), bad | bad_node),
+            _merge(plain_tok, fids, odd_fids),
+            _merge(plain_tok, np.ones(len(fids)), odd_weights),
+            _merge(plain_tok, np.zeros(len(fids), dtype=bool), bad_tok))
 
 
 def _repeats(values: np.ndarray) -> np.ndarray:
@@ -248,8 +346,7 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     to its twin under any sort, which is how such a line is found and
     rejected. Lines out of node order are then moved whole.
     """
-    linenos, lines = _read_lines(path)
-    nodes, sizes, bad, fids, weights, bad_tok = _parse_features(lines)
+    lines, nodes, sizes, bad, fids, weights, bad_tok = _parse_features(path)
     # the lines' offsets into the flat arrays, which are the bags' offsets
     # when the lines are in node order
     offsets = np.zeros(len(lines) + 1, dtype=np.int64)
@@ -263,7 +360,7 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         fids[pos], weights[pos] = fids[pos_sorted], weights[pos_sorted]
     repeated = (fids[1:] == fids[:-1]) & (tok_line[1:] == tok_line[:-1])
     bad[tok_line[1:][repeated]] = True
-    _raise_first_fault("features", path, linenos, lines, bad, nodes=nodes)
+    _raise_first_fault("features", path, lines, bad, nodes=nodes)
 
     if not lines:
         raise DataError(f"{path}: no feature lines found")
@@ -285,21 +382,19 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _load_edges(path: str, num_nodes: int) -> tuple[np.ndarray, int, int]:
     """`canonical_edges` of an edges file whose ids all lie below `num_nodes`."""
-    linenos, lines = _read_lines(path)
-    u, v, bad = _parse_pairs(lines)
+    lines, u, v, bad = _parse_pairs(path)
     bad |= (np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes)
-    _raise_first_fault("edges", path, linenos, lines, bad, num_nodes=num_nodes)
-    return canonical_edges(np.column_stack([u, v]))
+    _raise_first_fault("edges", path, lines, bad, num_nodes=num_nodes)
+    return canonical_edges(u, v)
 
 
 def _load_labels(path: str, num_nodes: int) -> np.ndarray:
     """(num_nodes,) classes of a labels file, -1 for a node it does not label."""
     # allocated before the file's temporaries, so it does not pin them in the heap
     labels = np.full(num_nodes, -1, dtype=np.int64)
-    linenos, lines = _read_lines(path)
-    labeled, classes, bad = _parse_pairs(lines)
+    lines, labeled, classes, bad = _parse_pairs(path)
     bad |= (np.minimum(labeled, classes) < 0) | (labeled >= num_nodes) | _repeats(labeled)
-    _raise_first_fault("labels", path, linenos, lines, bad, num_nodes=num_nodes, nodes=labeled)
+    _raise_first_fault("labels", path, lines, bad, num_nodes=num_nodes, nodes=labeled)
     labels[labeled] = classes
     return labels
 
@@ -307,10 +402,12 @@ def _load_labels(path: str, num_nodes: int) -> np.ndarray:
 def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDataset:
     """Load and validate the three files; the features file defines the node universe.
 
-    Each file is parsed into flat token arrays and checked as a whole; on a
-    fault, the first faulty line in file order is reported with the message of
-    the first rule it breaks (see `_check_line`). Each file is read by its own
-    helper, so its lines and temporaries are freed before the next is read.
+    Each file is read as bytes, checked to be UTF-8, parsed into flat arrays
+    (`_scan`: plain digit fields by numpy, other lines from their text) and
+    checked as a whole; on a fault, the first faulty line in file order is
+    reported with the message of the first rule it breaks (see `_check_line`).
+    Each file is read by its own helper, so its bytes and temporaries are freed
+    before the next is read.
 
     No sort uses more than one key. The bags come out as a sort of all
     tokens by (node, feature id) would leave them: each line's ids are
@@ -583,7 +680,7 @@ def _decode_triangular(idx: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
 def _sbm_edges(labels, n_classes, p_in, p_out, rng) -> np.ndarray:
     """Stochastic block model keyed to labels, sampled per block pair via binomial counts."""
     blocks = [np.flatnonzero(labels == c) for c in range(n_classes)]
-    chunks = []
+    us, vs = [], []
     for a in range(n_classes):
         na = len(blocks[a])
         # within-block pairs
@@ -593,7 +690,8 @@ def _sbm_edges(labels, n_classes, p_in, p_out, rng) -> np.ndarray:
             if cnt:
                 idx = rng.choice(m, size=cnt, replace=False)
                 i, j = _decode_triangular(np.sort(idx), na)
-                chunks.append(np.column_stack([blocks[a][i], blocks[a][j]]))
+                us.append(blocks[a][i])
+                vs.append(blocks[a][j])
         for b in range(a + 1, n_classes):
             nb = len(blocks[b])
             m = na * nb
@@ -602,7 +700,8 @@ def _sbm_edges(labels, n_classes, p_in, p_out, rng) -> np.ndarray:
                 if cnt:
                     idx = np.sort(rng.choice(m, size=cnt, replace=False))
                     i, j = idx // nb, idx % nb
-                    chunks.append(np.column_stack([blocks[a][i], blocks[b][j]]))
-    if not chunks:
+                    us.append(blocks[a][i])
+                    vs.append(blocks[b][j])
+    if not us:
         return np.empty((0, 2), dtype=np.int64)
-    return canonical_edges(np.concatenate(chunks))[0]
+    return canonical_edges(np.concatenate(us), np.concatenate(vs))[0]

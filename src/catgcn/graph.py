@@ -76,11 +76,12 @@ def size_groups(sizes: np.ndarray) -> list:
     return np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1) if len(sizes) else []
 
 
-def canonical_edges(edges) -> tuple[np.ndarray, int, int]:
-    """(edges, self loops dropped, duplicates dropped) of an undirected edge list.
+def canonical_edges(u, v) -> tuple[np.ndarray, int, int]:
+    """(edges, self loops dropped, duplicates dropped) of the undirected edges (u[i], v[i]).
 
     The result is (E, 2) int64 in ascending (u, v) order with u < v: self loops
-    are dropped and each pair, in either order, is kept once.
+    are dropped and each pair, in either order, is kept once. That form is
+    unique, so edges already in it, found by one O(E) check, are kept as given.
 
     Ids may be any int64, so no combined key is formed. Pairs are sorted by
     u alone; then each run of equal u, a contiguous segment, has its v
@@ -88,11 +89,15 @@ def canonical_edges(edges) -> tuple[np.ndarray, int, int]:
     That is the (u, v) order whatever order the first sort left within a
     run, and a duplicate pair ends up next to its twin.
     """
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    n_raw = len(e)
-    e = e[e[:, 0] != e[:, 1]]
-    n_self = n_raw - len(e)
-    u, v = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    n_raw = len(u)
+    if (u < v).all() and ((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (v[1:] > v[:-1])).all():
+        return np.column_stack([u, v]), 0, 0
+    keep = u != v
+    u, v = u[keep], v[keep]
+    n_self = n_raw - len(u)
+    u, v = np.minimum(u, v), np.maximum(u, v)
     order = np.argsort(u)
     u, v = u[order], v[order]
     first = np.ones(len(u), dtype=bool)
@@ -120,7 +125,7 @@ def build_adjacency(edges, num_nodes: int) -> CsrMatrix:
     if e.size and (e.min() < 0 or e.max() >= num_nodes):
         bad = e[(e < 0).any(axis=1) | (e >= num_nodes).any(axis=1)][0]
         raise ValueError(f"edge ({bad[0]}, {bad[1]}) references a node outside [0, {num_nodes})")
-    e = canonical_edges(e)[0]
+    e = canonical_edges(e[:, 0], e[:, 1])[0]
     both = np.concatenate([e, e[:, ::-1]])
     return _csr_from_coo(both[:, 0], both[:, 1], np.ones(len(both)), num_nodes, num_nodes)
 

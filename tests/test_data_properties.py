@@ -126,7 +126,7 @@ def test_canonical_edges_matches_oracle(edges, data):
                                max_size=10)) if edges else []
     again = [(v, u) if flip else (u, v) for (u, v), flip in again]
     raw = np.array(edges + again, dtype=np.int64).reshape(-1, 2)
-    got, n_self, n_dup = canonical_edges(raw)
+    got, n_self, n_dup = canonical_edges(raw[:, 0], raw[:, 1])
     want, diag = oracle_canonical_edges(raw)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -139,7 +139,7 @@ def write(tmp_path, texts):
     paths = []
     for name, text in zip(("edges", "features", "labels"), texts):
         path = tmp_path / f"{name}.tsv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         paths.append(str(path))
     return paths
 
@@ -151,8 +151,29 @@ def outcome(loader, paths):
         return type(exc), str(exc)
 
 
+def oracle_outcome(paths):
+    """The oracle's outcome, except that the loader checks that a whole file is
+    UTF-8 before it reads a line of it: where the oracle stopped in a file that
+    is not, at the bad byte or at a faulty line before it (it decodes as it
+    reads), the loader reports that file as not UTF-8."""
+    result = outcome(oracle_load_dataset, paths)
+    if result[0] == "ok":
+        return result
+    for path in (paths[1], paths[0], paths[2]):  # the order files are loaded in
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        try:
+            blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return DataError, (f"{path}: not UTF-8 text: byte {exc.start} "
+                               f"({blob[exc.start]:#04x}): {exc.reason}")
+        if result[1].startswith(f"{path}:"):
+            return result
+    raise AssertionError(f"no file accounts for the oracle's {result}")
+
+
 def assert_same_outcome(paths):
-    got, want = outcome(load_dataset, paths), outcome(oracle_load_dataset, paths)
+    got, want = outcome(load_dataset, paths), oracle_outcome(paths)
     assert got[0] == want[0], (got, want)
     if got[0] != "ok":
         assert got[1] == want[1]
@@ -172,7 +193,16 @@ def assert_same_outcome(paths):
 
 @st.composite
 def int_text(draw, v):
-    return draw(st.sampled_from([str(v), f"+{v}", f"0{v}", f" {v}", f"{v} "]))
+    # "0" before an 18-digit id, or zero padding to 22 digits, makes a field
+    # longer than the 18 digits the byte parser reads, so int() reads it
+    return draw(st.sampled_from([str(v), f"+{v}", f"0{v}", f" {v}", f"{v} ", f"{v:022d}"]))
+
+
+# feature ids and classes up to 2**63 - 1, 18 and 19 digits long among them
+big = st.one_of(st.sampled_from([10**17, 10**18 - 1, 10**18, 2**63 - 1]),
+                st.integers(10**17, 2**63 - 1))
+# what str.split() splits a bag at besides spaces: NBSP, \x0b, \x0c, \x1c, EM SPACE
+BAG_SEPARATORS = [" ", "  ", "\xa0", "\x0b", "\x0c", "\x1c", "\u2003", " \x1c "]
 
 
 @st.composite
@@ -182,10 +212,10 @@ def valid_files(draw):
     feature_lines = []
     for u in range(n):
         toks = []
-        for fid in draw(st.sets(st.integers(0, 30), min_size=1, max_size=6)):
+        for fid in draw(st.sets(st.one_of(st.integers(0, 30), big), min_size=1, max_size=6)):
             w = draw(st.sampled_from(["", ":", ":1.5", ":2e0", ":0.25", ":1"]))
             toks.append(draw(int_text(fid)).strip() + w)
-        sep = draw(st.sampled_from([" ", "  "]))
+        sep = draw(st.sampled_from(BAG_SEPARATORS))
         pad = draw(st.sampled_from(["", " "]))
         feature_lines.append(f"{draw(int_text(u))}\t{pad}{sep.join(toks)}{pad}")
     feature_lines = draw(st.permutations(feature_lines))
@@ -193,13 +223,14 @@ def valid_files(draw):
     edge_lines = [f"{draw(int_text(a))}\t{draw(int_text(b))}"
                   for a, b in draw(st.lists(pair, max_size=25))]
     labeled = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
-    label_lines = [f"{u}\t{draw(st.integers(0, 3))}" for u in labeled]
+    label_lines = [f"{u}\t{draw(st.one_of(st.integers(0, 3), big))}" for u in labeled]
     return [edge_lines, feature_lines, label_lines]
 
 
 @st.composite
 def dressed(draw, files):
-    """Interleave comments and blank lines and pick one line ending per file."""
+    """Interleave comments and blank lines, pick one line ending per file, and
+    sometimes leave the last line without it."""
     texts = []
     for lines in files:
         end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
@@ -208,8 +239,25 @@ def dressed(draw, files):
             if draw(st.integers(0, 5)) == 0:
                 out.append(draw(st.sampled_from(["# note", "#", ""])) if end != "\r" else "# c")
             out.append(line)
-        texts.append("".join(line + end for line in out))
+        text = "".join(line + end for line in out)
+        texts.append(text[: -len(end)] if text and draw(st.booleans()) else text)
     return texts
+
+
+@st.composite
+def encoded(draw, texts):
+    """The files' UTF-8 bytes, some behind a BOM, some with a byte that is not
+    UTF-8 at the start, the middle or the end."""
+    blobs = []
+    for text in texts:
+        blob = text.encode("utf-8")
+        if draw(st.integers(0, 7)) == 0:
+            blob = "\ufeff".encode("utf-8") + blob
+        if draw(st.integers(0, 7)) == 0:
+            at = draw(st.sampled_from([0, len(blob) // 2, len(blob)]))
+            blob = blob[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + blob[at:]
+        blobs.append(blob)
+    return blobs
 
 
 @SETTINGS
@@ -226,9 +274,9 @@ BAD_FEATURE_LINES = ["x\t1", "-1\t2", "{u}\t", "{u}\t  ", "{u}\t1 1", "{u}\t1:0"
                      "{u}", "{u}\t1\t2", "{u}\t3 1 3", "{u}\t2 5:x", "{u}\ty 2:0", "40\t1",
                      "{u}\t1:0 q", "1_0\t1", "{u}\t١"]
 BAD_EDGE_LINES = ["a\tb", "0\t{big}", "{big}\tz", "-1\t0", "0", "0\t1\t2", "0\tx", "0\t-3",
-                  "0\t99999999999999999999999", ""]
+                  "0\t99999999999999999999999", "", f"{{u}}\t{2**63}", f"{2**63 - 1}\t0"]
 BAD_LABEL_LINES = ["{big}\t0", "0\t-1", "x\t0", "0\ty", "0", "{u}\t1\t", "{u}\t0",
-                   "99999999999999999999999\t1"]
+                   "99999999999999999999999\t1", f"{2**63}\t1", f"{10**18}\t1"]
 
 
 @st.composite
@@ -238,7 +286,7 @@ def faulty_files(draw):
     for _ in range(draw(st.integers(1, 3))):
         which = draw(st.integers(0, 2))
         lines = files[which]
-        kind = draw(st.sampled_from(["replace", "insert", "duplicate", "delete"]))
+        kind = draw(st.sampled_from(["replace", "insert", "cr", "duplicate", "delete"]))
         if kind == "replace" or kind == "insert" or not lines:
             at = draw(st.integers(0, len(lines)))
             replace = kind == "replace" and at < len(lines)
@@ -251,6 +299,11 @@ def faulty_files(draw):
                 lines[at] = bad
             else:
                 lines.insert(at, bad)
+        elif kind == "cr":
+            # a CR inside a field ends the line there, as readlines() reads it
+            at = draw(st.integers(0, len(lines) - 1))
+            cut = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:cut] + "\r" + lines[at][cut:]
         elif kind == "duplicate":
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
         else:
@@ -263,7 +316,7 @@ def faulty_files(draw):
 @given(data=st.data())
 def test_loader_matches_oracle_on_faulty_files(tmp_path, data):
     texts = data.draw(dressed(data.draw(faulty_files())))
-    assert_same_outcome(write(tmp_path, texts))
+    assert_same_outcome(write(tmp_path, data.draw(encoded(texts))))
 
 
 @pytest.mark.parametrize("which, bad", [(0, b) for b in BAD_EDGE_LINES]

@@ -38,10 +38,36 @@ def test_canonical_edges_matches_lexsort_over_all_int64(pool, data):
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
                                max_size=60))
     raw = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    got, n_self, n_dup = canonical_edges(raw)
+    got, n_self, n_dup = canonical_edges(raw[:, 0], raw[:, 1])
     want, w_self, w_dup = sort_oracle.canonical_edges(raw)
     assert_same(got, want)
     assert (n_self, n_dup) == (w_self, w_dup)
+
+
+@SETTINGS
+@given(pool=st.lists(INT64, min_size=2, max_size=8, unique=True), data=st.data())
+def test_canonical_edges_keeps_canonical_input_without_sorting(pool, data, monkeypatch):
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                               max_size=60))
+    canon = sort_oracle.canonical_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2))[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "argsort", refuse_sort)
+        got, n_self, n_dup = canonical_edges(canon[:, 0], canon[:, 1])
+    assert_same(got, canon)
+    assert (n_self, n_dup) == (0, 0)
+    if len(canon):
+        # one pair reversed, or two neighbours swapped, is sorted again
+        k = data.draw(st.integers(0, len(canon) - 1))
+        flipped = canon.copy()
+        flipped[k] = flipped[k, ::-1]
+        assert_same(canonical_edges(flipped[:, 0], flipped[:, 1])[0], canon)
+        swapped = canon.copy()
+        swapped[[k, k - 1]] = swapped[[k - 1, k]]
+        assert_same(canonical_edges(swapped[:, 0], swapped[:, 1])[0], canon)
+
+
+def refuse_sort(*args, **kwargs):
+    raise AssertionError("canonical edges sorted again")
 
 
 @st.composite

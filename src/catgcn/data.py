@@ -9,16 +9,16 @@ The loader parses each file from its bytes (`_scan`): numpy finds the line
 breaks, TABs and spaces, and builds the value of every field of 1 to 18 ASCII
 digits with one pass per digit position. A line with any other field (a sign,
 `_`, non-ASCII digits, surrounding whitespace, 19 digits or more, a
-`:weight`, or a bag split at other whitespace) is parsed from its text with
-`int()` and `float()`, so each file is accepted or rejected as it would be
-line by line.
+`:weight`, or a bag split at other whitespace) is parsed from its text by
+`_parse_line`, the one owner of the line grammar and its messages, so each file
+is accepted or rejected as it would be line by line.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -112,23 +112,21 @@ def _parse_int(tok: str, what: str, path: str, lineno: int, limit: int | None = 
     return v
 
 
-def _weight(tok: str) -> float:
-    """The weight after `id:`; an absent one is 1."""
-    return float(tok) if tok else 1.0
-
-
 # ids the node and feature tables are indexed by, and classes, must fit int64;
 # edge and label node ids beyond the node count are dangling instead
 _INT64_END = 1 << 63
 _LAYOUT = {"features": "node<TAB>features", "edges": "u<TAB>v", "labels": "node<TAB>class"}
 
 
-def _check_line(kind: str, path: str, lineno: int, line: str, num_nodes: int, seen) -> None:
-    """Raise the DataError for the first per-line rule that `line` of a `kind` file breaks.
+def _parse_line(kind: str, path: str, lineno: int, line: str, num_nodes: int,
+                seen=()) -> tuple[int, list, list]:
+    """(head, tail ids, tail weights) of `line` of a `kind` file, or the DataError
+    of the first per-line rule it breaks.
 
     `seen` holds the node ids of the file's earlier lines; `num_nodes` bounds
-    the ids in edges and labels. `load_dataset` checks whole files in bulk and
-    calls this for the first faulty line only, so the rules' order here is the
+    the ids in edges and labels. `load_dataset` parses the lines `_scan` leaves
+    with this, without `seen`, checks whole files in bulk and calls it again,
+    with `seen`, for the first faulty line only, so the rules' order here is the
     order their messages take precedence in.
     """
     parts = line.split("\t")
@@ -142,42 +140,44 @@ def _check_line(kind: str, path: str, lineno: int, line: str, num_nodes: int, se
                 f"{path}:{lineno}: edge ({u}, {v}) references a node with no feature line"
                 f" (dangling id; {num_nodes} nodes known)"
             )
-    elif kind == "labels":
+        return u, [v], [1.0]
+    if kind == "labels":
         node = _parse_int(parts[0], "node id", path, lineno)
-        _parse_int(parts[1], "class id", path, lineno, _INT64_END)
+        cls = _parse_int(parts[1], "class id", path, lineno, _INT64_END)
         if node >= num_nodes:
             raise DataError(f"{path}:{lineno}: label for unknown node {node} (dangling id)")
         if node in seen:
             raise DataError(f"{path}:{lineno}: duplicate label for node {node}")
-    else:
-        node = _parse_int(parts[0], "node id", path, lineno, _INT64_END)
-        if node in seen:
-            raise DataError(f"{path}:{lineno}: duplicate feature line for node {node}")
-        ids = []
-        for tok in parts[1].split():
-            fid_tok, _, w_tok = tok.partition(":")
-            ids.append(_parse_int(fid_tok, "feature id", path, lineno, _INT64_END))
-            try:
-                w = _weight(w_tok)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad feature weight {tok!r}") from None
-            if not np.isfinite(w) or w <= 0:
-                raise DataError(
-                    f"{path}:{lineno}: weight must be finite and positive, got {w}"
-                )
-        if not ids:
-            raise DataError(f"{path}:{lineno}: node {node} has an empty feature list")
-        if len(set(ids)) != len(ids):
-            raise DataError(f"{path}:{lineno}: duplicate feature id for node {node}")
-    raise RuntimeError(f"{path}:{lineno}: flagged by the bulk checks, but no rule rejects it")
+        return node, [cls], [1.0]
+    node = _parse_int(parts[0], "node id", path, lineno, _INT64_END)
+    if node in seen:
+        raise DataError(f"{path}:{lineno}: duplicate feature line for node {node}")
+    ids, weights = [], []
+    for tok in parts[1].split():
+        fid_tok, _, w_tok = tok.partition(":")
+        ids.append(_parse_int(fid_tok, "feature id", path, lineno, _INT64_END))
+        try:
+            w = float(w_tok) if w_tok else 1.0
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad feature weight {tok!r}") from None
+        if not math.isfinite(w) or w <= 0:
+            raise DataError(f"{path}:{lineno}: weight must be finite and positive, got {w}")
+        weights.append(w)
+    if not ids:
+        raise DataError(f"{path}:{lineno}: node {node} has an empty feature list")
+    if len(set(ids)) != len(ids):
+        raise DataError(f"{path}:{lineno}: duplicate feature id for node {node}")
+    return node, ids, weights
 
 
 def _raise_first_fault(kind, path, lines, bad, num_nodes=0, nodes=None) -> None:
-    """Report the first line that `bad` marks, if any, through `_check_line`."""
+    """Report the first line that `bad` marks, if any, through `_parse_line`."""
     if bad.any():
         k = int(np.argmax(bad))
         seen = set(nodes[:k].tolist()) if nodes is not None else ()
-        _check_line(kind, path, int(lines.lineno[k]), lines.text(k), num_nodes, seen)
+        lineno = int(lines.lineno[k])
+        _parse_line(kind, path, lineno, lines.text(k), num_nodes, seen)
+        raise RuntimeError(f"{path}:{lineno}: flagged by the bulk checks, but no rule rejects it")
 
 
 # a run of at most 18 ASCII digits is below 10**18, so its value fits int64
@@ -195,8 +195,8 @@ def _scan(path: str, bag: bool) -> tuple:
     `bag`, any number of them between spaces. For the plain lines, `heads`
     holds the heads' values, `tails` the tail fields' values in file order and
     `sizes` how many tail fields each line has. Every other line (signs,
-    non-ASCII, other whitespace, longer digit runs, `:weight`) is left to the
-    caller, which parses its text.
+    non-ASCII, other whitespace, longer digit runs, `:weight`) is left to
+    `_parse_line`.
     """
     blob = _read_text(path)
     b = np.frombuffer(blob, dtype=np.uint8)
@@ -262,32 +262,6 @@ def _digit_values(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.
     return values
 
 
-def _column(tokens: list, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """`convert` of every token as one array, and a mask of the tokens it rejects
-    with ValueError or whose value `dtype` cannot hold; those read as 0."""
-    values = np.zeros(len(tokens), dtype=dtype)
-    bad = np.zeros(len(tokens), dtype=bool)
-    for i, tok in enumerate(tokens):
-        try:
-            values[i] = convert(tok)
-        except (ValueError, OverflowError):
-            bad[i] = True
-    return values, bad
-
-
-def _odd_fields(lines: _Lines, plain: np.ndarray) -> tuple[list, list, np.ndarray]:
-    """The two tab-separated fields of each line that is not plain, and a mask
-    of those that do not have exactly two (their fields read as empty)."""
-    heads, tails, bad = [], [], []
-    for k in np.flatnonzero(~plain).tolist():
-        parts = lines.text(k).split("\t")
-        ok = len(parts) == 2
-        heads.append(parts[0] if ok else "")
-        tails.append(parts[1] if ok else "")
-        bad.append(not ok)
-    return heads, tails, np.array(bad, dtype=bool)
-
-
 def _merge(plain: np.ndarray, plain_values: np.ndarray, odd_values: np.ndarray) -> np.ndarray:
     """One array, in file order, of the plain entries' values and the others'."""
     if len(odd_values) == 0:
@@ -298,36 +272,33 @@ def _merge(plain: np.ndarray, plain_values: np.ndarray, odd_values: np.ndarray) 
     return out
 
 
-def _parse_pairs(path: str) -> tuple:
-    """(lines, a, b, faults) of an `a<TAB>b` file: the two integer fields of each
-    line, and a mask of the lines whose layout or integers do not parse."""
-    lines, plain, a, b, _ = _scan(path, bag=False)
-    odd_a, odd_b, bad = _odd_fields(lines, plain)
-    odd_a, bad_a = _column(odd_a, int, np.int64)
-    odd_b, bad_b = _column(odd_b, int, np.int64)
-    bad = _merge(plain, np.zeros(len(a), dtype=bool), bad | bad_a | bad_b)
-    return lines, _merge(plain, a, odd_a), _merge(plain, b, odd_b), bad
-
-
-def _parse_features(path: str) -> tuple:
-    """(lines, node ids, bag sizes, line faults, feature ids, weights, token
-    faults) of a `node<TAB>tok ...` file; token arrays are flat, in file order."""
-    lines, plain, nodes, fids, sizes = _scan(path, bag=True)
-    odd_nodes, bags, bad = _odd_fields(lines, plain)
-    odd_nodes, bad_node = _column(odd_nodes, int, np.int64)
-    bags = list(map(str.split, bags))
-    odd_sizes = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
-    pieces = [tok.partition(":") for tok in itertools.chain.from_iterable(bags)]
-    odd_fids, bad_tok = _column([p[0] for p in pieces], int, np.int64)
-    odd_weights, bad_w = _column([p[2] for p in pieces], _weight, np.float64)
-    bad_tok |= bad_w | ~np.isfinite(odd_weights) | (odd_weights <= 0)
+def _parse(kind: str, path: str, num_nodes: int = 0) -> tuple:
+    """(lines, heads, tail sizes, line faults, tail ids, tail weights) of a `kind`
+    file; tail arrays are flat, in file order, and weights are only read for
+    features (None otherwise). A line `_parse_line` rejects is marked faulty
+    and reads as one head 0 and one tail 0."""
+    bag = kind == "features"
+    lines, plain, heads, tails, sizes = _scan(path, bag)
+    odd = np.flatnonzero(~plain)
+    odd_heads, odd_sizes = np.zeros(len(odd), dtype=np.int64), np.ones(len(odd), dtype=np.int64)
+    odd_bad = np.zeros(len(odd), dtype=bool)
+    odd_tails, odd_weights = [], []
+    for i, k in enumerate(odd.tolist()):
+        try:
+            head, ids, weights = _parse_line(kind, path, int(lines.lineno[k]), lines.text(k),
+                                             num_nodes)
+        except DataError:
+            head, ids, weights = 0, [0], [1.0]
+            odd_bad[i] = True
+        odd_heads[i], odd_sizes[i] = head, len(ids)
+        odd_tails += ids
+        odd_weights += weights
     sizes = _merge(plain, sizes, odd_sizes)
     plain_tok = np.repeat(plain, sizes)
-    return (lines, _merge(plain, nodes, odd_nodes), sizes,
-            _merge(plain, np.zeros(len(nodes), dtype=bool), bad | bad_node),
-            _merge(plain_tok, fids, odd_fids),
-            _merge(plain_tok, np.ones(len(fids)), odd_weights),
-            _merge(plain_tok, np.zeros(len(fids), dtype=bool), bad_tok))
+    weights = _merge(plain_tok, np.ones(len(tails)), np.array(odd_weights)) if bag else None
+    return (lines, _merge(plain, heads, odd_heads), sizes,
+            _merge(plain, np.zeros(len(heads), dtype=bool), odd_bad),
+            _merge(plain_tok, tails, np.array(odd_tails, dtype=np.int64)), weights)
 
 
 def _repeats(values: np.ndarray) -> np.ndarray:
@@ -346,14 +317,13 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     to its twin under any sort, which is how such a line is found and
     rejected. Lines out of node order are then moved whole.
     """
-    lines, nodes, sizes, bad, fids, weights, bad_tok = _parse_features(path)
+    lines, nodes, sizes, bad, fids, weights = _parse("features", path)
     # the lines' offsets into the flat arrays, which are the bags' offsets
     # when the lines are in node order
     offsets = np.zeros(len(lines) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    bad |= (nodes < 0) | _repeats(nodes) | (sizes == 0)
+    bad |= _repeats(nodes) | (sizes == 0)
     tok_line = np.repeat(np.arange(len(lines)), sizes)
-    bad[tok_line[bad_tok | (fids < 0)]] = True
     for group in size_groups(sizes):
         pos = offsets[group, None] + np.arange(sizes[group[0]])
         pos_sorted = np.take_along_axis(pos, np.argsort(fids[pos], axis=1), axis=1)
@@ -382,8 +352,8 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _load_edges(path: str, num_nodes: int) -> tuple[np.ndarray, int, int]:
     """`canonical_edges` of an edges file whose ids all lie below `num_nodes`."""
-    lines, u, v, bad = _parse_pairs(path)
-    bad |= (np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes)
+    lines, u, _, bad, v, _ = _parse("edges", path, num_nodes)
+    bad |= np.maximum(u, v) >= num_nodes
     _raise_first_fault("edges", path, lines, bad, num_nodes=num_nodes)
     return canonical_edges(u, v)
 
@@ -392,8 +362,8 @@ def _load_labels(path: str, num_nodes: int) -> np.ndarray:
     """(num_nodes,) classes of a labels file, -1 for a node it does not label."""
     # allocated before the file's temporaries, so it does not pin them in the heap
     labels = np.full(num_nodes, -1, dtype=np.int64)
-    lines, labeled, classes, bad = _parse_pairs(path)
-    bad |= (np.minimum(labeled, classes) < 0) | (labeled >= num_nodes) | _repeats(labeled)
+    lines, labeled, _, bad, classes, _ = _parse("labels", path, num_nodes)
+    bad |= (labeled >= num_nodes) | _repeats(labeled)
     _raise_first_fault("labels", path, lines, bad, num_nodes=num_nodes, nodes=labeled)
     labels[labeled] = classes
     return labels
@@ -403,9 +373,9 @@ def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDa
     """Load and validate the three files; the features file defines the node universe.
 
     Each file is read as bytes, checked to be UTF-8, parsed into flat arrays
-    (`_scan`: plain digit fields by numpy, other lines from their text) and
+    (`_scan`: plain digit fields by numpy, other lines by `_parse_line`) and
     checked as a whole; on a fault, the first faulty line in file order is
-    reported with the message of the first rule it breaks (see `_check_line`).
+    reported with the message of the first rule it breaks (see `_parse_line`).
     Each file is read by its own helper, so its bytes and temporaries are freed
     before the next is read.
 

@@ -31,15 +31,6 @@ class CsrMatrix:
         out[rows, self.col_indices] = self.values
         return out
 
-    def transpose(self) -> "CsrMatrix":
-        return _csr_from_coo(
-            self.col_indices,
-            _expand_rows(self.row_offsets),
-            self.values,
-            self.num_cols,
-            self.num_rows,
-        )
-
 
 def _expand_rows(row_offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(row_offsets) - 1, dtype=np.int64), np.diff(row_offsets))
@@ -136,22 +127,24 @@ def normalize_sym(adj: CsrMatrix) -> tuple[CsrMatrix, np.ndarray]:
     Entry (i, j) is 1/(sqrt(d_i)*sqrt(d_j)). The product commutes, so (i, j)
     and (j, i) are bit-equal.
     """
-    if adj.num_rows != adj.num_cols:
-        raise ValueError("adjacency must be square")
-    rows = _expand_rows(adj.row_offsets)
-    if np.any(rows == adj.col_indices):
-        raise ValueError("adjacency must have a zero diagonal before self loops are added")
-    t = adj.transpose()
-    if not (
-        np.array_equal(adj.row_offsets, t.row_offsets)
-        and np.array_equal(adj.col_indices, t.col_indices)
-        and np.array_equal(adj.values, t.values)
-    ):
-        raise ValueError("adjacency must be symmetric")
-
     n = adj.num_rows
+    if adj.num_cols != n:
+        raise ValueError("adjacency must be square")
+    if n * n >= 1 << 63:
+        raise ValueError(f"a {n}x{n} CSR matrix has 2**63 positions or more")
+    rows, cols = _expand_rows(adj.row_offsets), adj.col_indices
+    if np.any(rows == cols):
+        raise ValueError("adjacency must have a zero diagonal before self loops are added")
+    # the transpose's entries in row-major order are the entries sorted by (col, row);
+    # the matrix is symmetric when they are its own entries, in its own order
+    order = np.argsort(cols * n + rows)
+    if not (np.array_equal(cols[order], rows) and np.array_equal(rows[order], cols)
+            and np.array_equal(adj.values[order], adj.values)):
+        raise ValueError("adjacency must be symmetric")
+    del order
+
     rows_aug = np.concatenate([rows, np.arange(n, dtype=np.int64)])
-    cols_aug = np.concatenate([adj.col_indices, np.arange(n, dtype=np.int64)])
+    cols_aug = np.concatenate([cols, np.arange(n, dtype=np.int64)])
     degrees = np.diff(adj.row_offsets).astype(np.float64) + 1.0
     inv_sqrt = 1.0 / np.sqrt(degrees)
     vals = inv_sqrt[rows_aug] * inv_sqrt[cols_aug]

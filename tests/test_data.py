@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from catgcn.data import (
     DataError,
-    _column,
-    _parse_pairs,
     dataset_fingerprint,
     generate_synthetic,
     load_dataset,
@@ -113,35 +111,43 @@ INT_TOKENS = ["+5", "1_0", "_1", "\u0663", "\uff10", "\xa05", "5.0", "", str(2**
               str(10**18 - 1), str(10**18), str(2**63 - 1), "0" * 21 + "7", "5\r"]
 
 
-def int_per_token(tokens):
-    """The values and fault mask of an int64 column, token by token with int()."""
-    values, bad = [], []
+def int_class(tok):
+    """The class of a `0<TAB>tok` labels line: int(tok) if it lies in [0, 2**63),
+    else None, for a line the loader must reject."""
+    try:
+        v = int(tok)
+    except ValueError:
+        return None
+    return v if 0 <= v < 2**63 else None
+
+
+def loaded_classes(tmp_path, tokens):
+    """The classes `load_dataset` reads from `i<TAB>tokens[i]` labels lines over
+    nodes 0, 1, ..., or None if it rejects the file. A token must not hold a TAB
+    or a line break."""
+    features = "".join(f"{i}\t1\n" for i in range(max(1, len(tokens))))
+    labels = "".join(f"{i}\t{tok}\n" for i, tok in enumerate(tokens))
+    try:
+        ds = load_dataset(*write_files(tmp_path, "", features, labels))
+    except DataError:
+        return None
+    return ds.labels[:len(tokens)].tolist()
+
+
+def assert_loader_reads_classes_as_int(tmp_path, tokens):
+    """Each token alone is accepted exactly when int() gives a class in range,
+    and the accepted ones together, plain digit fields and others mixed, keep
+    their values and their order."""
     for tok in tokens:
-        try:
-            v = int(tok)
-        except ValueError:
-            v = None
-        ok = v is not None and -2**63 <= v < 2**63
-        values.append(v if ok else 0)
-        bad.append(not ok)
-    return values, bad
-
-
-def loaded_int_column(path, tokens):
-    """The values and fault mask the loader reads for each token as the second
-    field of a `0<TAB>token` line: the byte parser converts plain digit fields,
-    `_column` the rest. A token must not hold a TAB or a line break."""
-    path.write_bytes("".join(f"0\t{tok}\n" for tok in tokens).encode("utf-8"))
-    _, _, values, bad = _parse_pairs(str(path))
-    return values.tolist(), bad.tolist()
+        want = int_class(tok)
+        assert loaded_classes(tmp_path, [tok]) == (None if want is None else [want]), tok
+    good = [tok for tok in tokens if int_class(tok) is not None]
+    assert loaded_classes(tmp_path, good) == [int_class(tok) for tok in good]
 
 
 @pytest.mark.parametrize("tokens", [[t] for t in INT_TOKENS] + [INT_TOKENS, ["7", "-2", "+3"]])
 def test_int_column_accepts_and_rejects_what_int_does(tmp_path, tokens):
-    values, bad = _column(tokens, int, np.int64)
-    assert values.dtype == np.int64 and bad.dtype == bool
-    assert (values.tolist(), bad.tolist()) == int_per_token(tokens)
-    assert loaded_int_column(tmp_path / "pairs.tsv", tokens) == int_per_token(tokens)
+    assert_loader_reads_classes_as_int(tmp_path, tokens)
 
 
 @settings(max_examples=300, deadline=None,
@@ -149,19 +155,15 @@ def test_int_column_accepts_and_rejects_what_int_does(tmp_path, tokens):
 @given(tokens=st.lists(st.one_of(st.text(max_size=6), st.integers(-2**64, 2**64).map(str)),
                        max_size=8))
 def test_int_column_matches_int_on_any_text(tmp_path, tokens):
-    values, bad = _column(tokens, int, np.int64)
-    assert (values.tolist(), bad.tolist()) == int_per_token(tokens)
     fields = [tok for tok in tokens if not set(tok) & set("\t\n\r")]
-    assert loaded_int_column(tmp_path / "pairs.tsv", fields) == int_per_token(fields)
+    assert_loader_reads_classes_as_int(tmp_path, fields)
 
 
 def test_int_column_out_of_range_takes_the_per_token_path(tmp_path):
     # 2**63 - 1 and 2**63 both have 19 digits: past 18, a field is int()'s
     tokens = ["7", str(2**63), str(-2**63 - 1), str(2**63 - 1)]
-    want = ([7, 0, 0, 2**63 - 1], [False, True, True, False])
-    values, bad = _column(tokens, int, np.int64)
-    assert (values.tolist(), bad.tolist()) == want
-    assert loaded_int_column(tmp_path / "pairs.tsv", tokens) == want
+    assert [int_class(tok) for tok in tokens] == [7, None, None, 2**63 - 1]
+    assert_loader_reads_classes_as_int(tmp_path, tokens)
 
 
 def test_write_then_load_roundtrip(tmp_path):

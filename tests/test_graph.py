@@ -58,16 +58,24 @@ def test_normalize_isolated_node_keeps_self_loop():
     assert deg[2] == 1.0
 
 
-def csr(num_rows, num_cols, row_offsets, col_indices):
+def csr(num_rows, num_cols, row_offsets, col_indices, values=None):
+    values = np.ones(len(col_indices)) if values is None else np.array(values, dtype=np.float64)
     return CsrMatrix(num_rows, num_cols, np.array(row_offsets, dtype=np.int64),
-                     np.array(col_indices, dtype=np.int64), np.ones(len(col_indices)))
+                     np.array(col_indices, dtype=np.int64), values)
 
 
 @pytest.mark.parametrize("adj, message", [
     (csr(2, 3, [0, 1, 2], [1, 0]), "adjacency must be square"),
+    # only the shape is read: no int64 key is formed for 2**64 positions
+    (csr(2**32, 2**32, [0], []), "has 2\\*\\*63 positions or more"),
     (csr(2, 2, [0, 2, 3], [0, 1, 0]), "zero diagonal"),
     (csr(3, 3, [0, 1, 2, 2], [1, 2]), "adjacency must be symmetric"),
-], ids=["not-square", "diagonal", "not-symmetric"])
+    # the same structure both ways, but (0, 1) != (1, 0)
+    (csr(2, 2, [0, 1, 2], [1, 0], [1.0, 2.0]), "adjacency must be symmetric"),
+    # the 3-cycle 0->1->2->0: every degree is 1, yet no edge has its reverse
+    (csr(3, 3, [0, 1, 2, 3], [1, 2, 0]), "adjacency must be symmetric"),
+], ids=["not-square", "past-int64-keys", "diagonal", "not-symmetric", "unequal-values",
+        "directed-cycle"])
 def test_normalize_rejects_what_is_not_a_simple_undirected_graph(adj, message):
     with pytest.raises(ValueError, match=message):
         normalize_sym(adj)
@@ -173,11 +181,3 @@ def test_propagate_preserves_constant_vector():
     norm, _ = normalize_sym(build_adjacency(edges, 3))
     ones = np.ones((3, 1))
     assert np.abs(propagate(norm, ones, 4) - ones).max() < 1e-12
-
-
-def test_csr_transpose_roundtrip():
-    rng = np.random.default_rng(21)
-    edges = rng.integers(0, 12, size=(30, 2))
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    adj = build_adjacency(edges, 12)
-    assert np.array_equal(adj.transpose().to_dense(), adj.to_dense().T)

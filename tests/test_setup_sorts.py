@@ -1,7 +1,7 @@
 """The set-up path's sorts against the multi-key lexsorts they replaced.
 
 `sort_oracle` keeps each replaced `np.lexsort` verbatim. Canonical edges, CSR
-builds and transposes, feature samples and loaded bags must equal its
+builds, feature samples and loaded bags must equal its
 outputs exactly, on ids across the whole int64 range, on mixed bag sizes and
 on features files whose lines are out of node order. A last test runs the
 set-up path with `np.lexsort` disabled.
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import sort_oracle
 from catgcn.data import generate_synthetic, load_dataset, sample_features, write_dataset
-from catgcn.graph import _csr_from_coo, _expand_rows, canonical_edges
+from catgcn.graph import _csr_from_coo, canonical_edges
 from catgcn.training import TrainConfig, run_inputs
 from test_data_properties import make_dataset
 
@@ -84,19 +84,12 @@ def coo(draw, max_rows=12, max_cols=12):
 
 @SETTINGS
 @given(entries=coo())
-def test_csr_from_coo_and_transpose_match_lexsort(entries):
+def test_csr_from_coo_matches_lexsort(entries):
     rows, cols, vals, num_rows, num_cols = entries
     m = _csr_from_coo(rows, cols, vals, num_rows, num_cols)
     offsets, want_cols, want_vals = sort_oracle.csr_from_coo(rows, cols, vals, num_rows)
     for got, want in ((m.row_offsets, offsets), (m.col_indices, want_cols),
                       (m.values, want_vals)):
-        assert_same(got, want)
-    t = m.transpose()
-    offsets, want_cols, want_vals = sort_oracle.csr_from_coo(
-        want_cols, _expand_rows(offsets), want_vals, num_cols)
-    assert (t.num_rows, t.num_cols) == (num_cols, num_rows)
-    for got, want in ((t.row_offsets, offsets), (t.col_indices, want_cols),
-                      (t.values, want_vals)):
         assert_same(got, want)
 
 

@@ -30,12 +30,15 @@ def imported_names(tree: ast.Module) -> dict:
 
 def read_names(tree: ast.Module) -> set:
     """Names the module reads, including those inside string annotations."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | annotation_names(tree)
+
+
+def annotation_names(tree: ast.Module) -> set:
+    """Names inside the module's string annotations."""
     used = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.arg) and node.annotation is not None:
+        if isinstance(node, ast.arg) and node.annotation is not None:
             annotations.append(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
             annotations.append(node.returns)

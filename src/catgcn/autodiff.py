@@ -9,6 +9,19 @@ numpy formulas of the two interaction routes, `local_biinteraction` and
 them; they broadcast over leading batch axes and treat axis -2 as the
 feature-row axis.
 
+Memory order is not part of that contract. `interaction` hands the primitives
+slot-major node blocks: (rows, n_f, d) views of C-contiguous (n_f, rows, d)
+memory, which `gather_rows` stores when its ids are in Fortran order. numpy's
+elementwise ufuncs keep their operand's order (`scale_rows` writes into an
+array like its input, as the weights' order would otherwise win), so a
+reduction over axis -2 adds whole slots in contiguous passes and a
+`s[..., None, :]` broadcast writes whole slots; `matmul` runs one gemm per slot
+and returns the same layout. Every op whose bits depend on the order of the
+rows reads them node-major: `gather_rows` scatters its gradient in C order,
+`matmul`'s weight gradient sums rows x n_f rows of node-major copies, and its
+input gradient is numpy's one gemm per node, written back in the input's
+order. So a slot-major block gives the bits of a node-major one.
+
 A record keeps only what its backward rule reads: the tape-local node number
 of its output; for each input, its node number if this tape produced it, the
 Tensor itself if it is a leaf that requires a gradient (so `replay` can key
@@ -65,6 +78,16 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _slot_major(x: np.ndarray) -> bool:
+    """Whether the (rows, n_f, d) array x is a view of C-contiguous (n_f, rows, d) memory."""
+    return x.ndim == 3 and not x.flags.c_contiguous and x.transpose(1, 0, 2).flags.c_contiguous
+
+
+def _node_major(x: np.ndarray) -> np.ndarray:
+    """x, or a node-major (C-order) copy of it when it is slot-major."""
+    return np.ascontiguousarray(x) if _slot_major(x) else x
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -147,16 +170,31 @@ class Tape:
         if b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
             raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
         k, n = b.data.shape
-        # each factor is kept only for the other one's gradient
-        x = a.data if b.needs_grad else None
+        # each factor is kept only for the other one's gradient; a is kept
+        # node-major, the order of the rows b's gradient sums over
+        x = _node_major(a.data) if b.needs_grad else None
         w = b.data if a.needs_grad else None
+        slot = _slot_major(a.data)
+        rows, n_f = a.data.shape[:2] if slot else (0, 0)
 
         def vjp(g):
-            ga = None if w is None else g @ w.T
-            gb = None if x is None else x.reshape(-1, k).T @ g.reshape(-1, n)
+            ga = gb = None
+            if x is not None:
+                # one gemm over all rows x n_f rows, whose bits depend on their
+                # order; first, so g's node-major copy is freed before ga exists
+                gb = x.reshape(-1, k).T @ _node_major(g).reshape(-1, n)
+            if w is not None:
+                # numpy runs `g @ w.T` as one gemm per node in any memory order,
+                # so a's gradient has the node-major bits; it is written in a's order
+                out = np.empty((n_f, rows, k)).transpose(1, 0, 2) if slot else None
+                ga = np.matmul(g, w.T, out=out)
             return ga, gb
 
-        return self._emit(a.data @ b.data, (a, b), vjp)
+        if slot:  # one gemm per slot over the (n_f, rows, k) memory
+            out = (a.data.transpose(1, 0, 2) @ b.data).transpose(1, 0, 2)
+        else:
+            out = a.data @ b.data
+        return self._emit(out, (a, b), vjp)
 
     def add_bias(self, x: Tensor, b: Tensor) -> Tensor:
         """x (..., d) + b (d,)."""
@@ -221,11 +259,14 @@ class Tape:
     def gather_rows(self, table: Tensor, ids: np.ndarray) -> Tensor:
         """table (d, k) indexed by ids (...); backward scatter-adds duplicate ids.
 
-        The scatter is one `bincount` over the flat slot index `id * k + column`.
-        Each slot sums its contributions in row order, as a `bincount` per
-        column does, so the result is the same bit for bit. The index is as
-        large as the gradient, so each backward builds it and frees it rather
-        than keeping it for the run.
+        The rows are stored in the memory order of `ids`: (rows, n_f) ids in
+        Fortran order give a slot-major (rows, n_f, k) view of (n_f, rows, k)
+        memory. The scatter is one `bincount` over the flat slot index
+        `id * k + column`, read in node-major (C) order whatever the memory
+        order. Each slot sums its contributions in row order, as a `bincount`
+        per column does, so the result is the same bit for bit. The index is
+        as large as the gradient, so each backward builds it and frees it
+        rather than keeping it for the run.
         """
         ids = np.asarray(ids, dtype=np.int64)
         d, k = table.data.shape
@@ -235,7 +276,11 @@ class Tape:
             out = np.bincount(slots.ravel(), weights=g.ravel(), minlength=d * k)
             return (out.reshape(d, k),)
 
-        return self._emit(table.data.take(ids, axis=0), (table,), vjp)
+        if ids.ndim == 2 and ids.flags.f_contiguous and not ids.flags.c_contiguous:
+            rows = table.data.take(ids.T, axis=0).transpose(1, 0, 2)
+        else:
+            rows = table.data.take(ids, axis=0)
+        return self._emit(rows, (table,), vjp)
 
     def scale(self, x: Tensor, c: float) -> Tensor:
         c = float(c)
@@ -252,7 +297,9 @@ class Tape:
         if np.all(w == 1.0):
             return self._emit(x.data, (x,), lambda g: (g,))
         w = w[..., None]
-        return self._emit(x.data * w, (x,), lambda g: (g * w,))
+        # the product in x's memory order, which `x.data * w` would give up for w's
+        out = np.multiply(x.data, w, out=np.empty_like(x.data))
+        return self._emit(out, (x,), lambda g: (g * w,))
 
     def total_sum(self, x: Tensor) -> Tensor:
         shape = x.data.shape

@@ -143,13 +143,15 @@ def normalize_sym(adj: CsrMatrix) -> tuple[CsrMatrix, np.ndarray]:
         raise ValueError("adjacency must be symmetric")
     del order
 
-    rows_aug = np.concatenate([rows, np.arange(n, dtype=np.int64)])
-    cols_aug = np.concatenate([cols, np.arange(n, dtype=np.int64)])
+    # the input is canonical, so each row's self loop goes in at its sorted
+    # slot, after the row's columns below the diagonal, and nothing is sorted again
+    diag = adj.row_offsets[:-1] + np.bincount(rows[cols < rows], minlength=n)
+    cols_aug = np.insert(cols, diag, np.arange(n, dtype=np.int64))
+    offsets = adj.row_offsets + np.arange(n + 1, dtype=np.int64)
     degrees = np.diff(adj.row_offsets).astype(np.float64) + 1.0
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    vals = inv_sqrt[rows_aug] * inv_sqrt[cols_aug]
-    norm = _csr_from_coo(rows_aug, cols_aug, vals, n, n)
-    return norm, degrees
+    vals = inv_sqrt[_expand_rows(offsets)] * inv_sqrt[cols_aug]
+    return CsrMatrix(n, n, offsets, cols_aug, vals), degrees
 
 
 # byte budget of the (entries, C) float64 products one row chunk of `spmm`
@@ -182,7 +184,10 @@ def spmm(m: CsrMatrix, x: np.ndarray) -> np.ndarray:
         hi = max(lo + 1, int(np.searchsorted(offsets, offsets[lo] + entries, side="right")) - 1)
         a, b = offsets[lo], offsets[hi]
         if b > a:
-            prod = m.values[a:b, None] * x[m.col_indices[a:b]]
+            # `take` gathers faster than fancy indexing, and scaling in place
+            # needs no second (entries, C) buffer
+            prod = x.take(m.col_indices[a:b], axis=0)
+            prod *= m.values[a:b, None]
             nonempty = np.diff(offsets[lo:hi + 1]) > 0
             # reduceat segments end at the next supplied start; empty rows own
             # no product slots, so each segment covers exactly one row's entries.

@@ -20,6 +20,7 @@ import numpy as np
 from catgcn import graph as graphmod
 from catgcn.autodiff import masked_ce_mean, softmax_rows
 from catgcn.interaction import DROPOUT_SITES, dropout_mask
+from catgcn.model import taped_loss
 
 
 def local_biinteraction(e: np.ndarray) -> np.ndarray:
@@ -278,3 +279,12 @@ def taped_forward(tape: Tape, params, sample, norm_adj, config, epoch=None) -> T
     if 0.0 < alpha < 1.0:
         h = tape.add(tape.scale(h_g, alpha), tape.scale(h_l, 1.0 - alpha))
     return tape.sparse_propagate(norm_adj, h, config.hops)
+
+
+def training_step(params, sample, norm_adj, config, labels, train_ids, epoch):
+    """`catgcn.model.training_step` recorded in one pass over all nodes on this
+    tape with its kernels, and replayed here: (loss value, gradients, logits)."""
+    tape = Tape()
+    y = taped_forward(tape, params, sample, norm_adj, config, epoch)
+    lt = taped_loss(tape, y, labels, train_ids, config.eta, params)
+    return lt.item(), backward(tape, lt), y.data

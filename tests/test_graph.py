@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catgcn.graph
 from catgcn.graph import CsrMatrix, build_adjacency, normalize_sym, propagate, spmm
@@ -143,6 +145,44 @@ def test_spmm_in_row_chunks_is_bit_equal_to_one_chunk(monkeypatch):
         monkeypatch.setattr(catgcn.graph, "SPMM_CHUNK_BYTES", budget)
         for m, ref in zip((adj, norm), whole):
             assert spmm(m, x).tobytes() == ref.tobytes(), budget
+
+
+def spmm_by_fancy_index(m, x, chunk_bytes):
+    """`spmm` as it built each chunk's products before `take`:
+    `vals[:, None] * x[cols]`, over the same row chunks."""
+    out = np.zeros((m.num_rows, x.shape[1]))
+    offsets = m.row_offsets
+    entries = max(1, chunk_bytes // (8 * max(1, x.shape[1])))
+    lo = 0
+    while m.nnz and lo < m.num_rows:
+        hi = max(lo + 1, int(np.searchsorted(offsets, offsets[lo] + entries, side="right")) - 1)
+        a, b = offsets[lo], offsets[hi]
+        if b > a:
+            prod = m.values[a:b, None] * x[m.col_indices[a:b]]
+            nonempty = np.diff(offsets[lo:hi + 1]) > 0
+            out[lo:hi][nonempty] = np.add.reduceat(prod, offsets[lo:hi][nonempty] - a, axis=0)
+        lo = hi
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), c=st.integers(1, 5),
+       chunk_bytes=st.integers(1, 4096), hub=st.booleans())
+def test_spmm_is_bit_equal_to_fancy_index_products(seed, n, c, chunk_bytes, hub):
+    # the last node is always isolated, so some rows are empty; with `hub`,
+    # node 0 links to every other node but the last, a row of n - 2 entries
+    # that outgrows the smaller chunks
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, n - 1, size=(int(rng.integers(0, 2 * n)), 2))
+    if hub:
+        edges = np.concatenate([edges, np.stack([np.zeros(n - 2, np.int64),
+                                                 np.arange(1, n - 1)], axis=1)])
+    adj = build_adjacency(edges, n)
+    x = rng.normal(size=(n, c))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catgcn.graph, "SPMM_CHUNK_BYTES", chunk_bytes)
+        for m in (adj, normalize_sym(adj)[0]):
+            assert spmm(m, x).tobytes() == spmm_by_fancy_index(m, x, chunk_bytes).tobytes()
 
 
 def test_spmm_rejects_bad_shapes():

@@ -196,15 +196,6 @@ def test_tape_keeps_only_what_backward_reads():
             gc.enable()
 
 
-def reference_training_step(params, sample, norm, cfg, labels, train_ids, epoch):
-    """`training_step` recorded in one pass over all nodes on the reference
-    tape with its kernels, and replayed there."""
-    tape = tape_oracle.Tape()
-    y = tape_oracle.taped_forward(tape, params, sample, norm, cfg, epoch)
-    lt = taped_loss(tape, y, labels, train_ids, cfg.eta, params)
-    return lt.item(), tape_oracle.backward(tape, lt), y.data
-
-
 @pytest.mark.parametrize("route", [
     dict(alpha=0.0), dict(alpha=0.5), dict(alpha=1.0), dict(variant="meanpool"),
     dict(alpha=0.5, deep_projection=True, final_activation="relu"),
@@ -220,7 +211,7 @@ def test_training_step_is_bit_equal_to_reference_tape(route, extra):
     split = make_split(ds, 2)
     args = (params, sample, norm, dataclasses.replace(cfg, seed=3), ds.labels, split.train_ids)
     loss, grads, y = training_step(*args, epoch=5)
-    ref_loss, ref_grads, ref_y = reference_training_step(*args, epoch=5)
+    ref_loss, ref_grads, ref_y = tape_oracle.training_step(*args, epoch=5)
     assert loss == ref_loss
     assert y.tobytes() == ref_y.tobytes()
     assert list(grads) == list(ref_grads)  # same leaves, reached in the same order
@@ -498,7 +489,7 @@ def test_training_step_in_node_blocks_matches_one_pass(monkeypatch, overrides, w
     step = training_step(*args, epoch=5)
     # the forward, then the backward's recompute: one gather per block each
     assert [n for _, n in calls] == [7, 7, 7, 3] * 2
-    _assert_matches_reference(step, reference_training_step(*args, epoch=5))
+    _assert_matches_reference(step, tape_oracle.training_step(*args, epoch=5))
 
 
 def test_block_backward_scatters_into_the_block_rows_only(monkeypatch):
@@ -522,7 +513,7 @@ def test_block_backward_scatters_into_the_block_rows_only(monkeypatch):
     assert forward == [(feats, len(sample.ids[rows])) for rows in blocks]
     assert recompute == [(len(np.unique(sample.ids[rows])), len(sample.ids[rows]))
                          for rows in blocks]
-    _assert_matches_reference(step, reference_training_step(*args, epoch=0))
+    _assert_matches_reference(step, tape_oracle.training_step(*args, epoch=0))
     unused = np.setdiff1d(np.arange(feats), sample.ids)
     assert not step[1][params.embedding][unused].any()
 

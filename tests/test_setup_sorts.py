@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import sort_oracle
 from catgcn.data import generate_synthetic, load_dataset, sample_features, write_dataset
-from catgcn.graph import _csr_from_coo, canonical_edges
+from catgcn.graph import (_csr_from_coo, _expand_rows, build_adjacency, canonical_edges,
+                          normalize_sym)
 from catgcn.training import TrainConfig, run_inputs
 from test_data_properties import make_dataset
 
@@ -113,6 +114,34 @@ def test_csr_from_coo_refuses_shapes_past_int64_keys():
     for num_rows, num_cols in ((2, 2**62), (1, 2**63), (3, 2**62)):
         with pytest.raises(ValueError, match="has 2\\*\\*63 positions or more"):
             _csr_from_coo([0], [0], [1.0], num_rows, num_cols)
+
+
+def normalize_by_sorting(adj):
+    """`normalize_sym`'s matrix as it was built before the self loops were
+    inserted in place: every entry and self loop sorted again by `_csr_from_coo`."""
+    n = adj.num_rows
+    loops = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([_expand_rows(adj.row_offsets), loops])
+    cols = np.concatenate([adj.col_indices, loops])
+    inv_sqrt = 1.0 / np.sqrt(np.diff(adj.row_offsets).astype(np.float64) + 1.0)
+    return _csr_from_coo(rows, cols, inv_sqrt[rows] * inv_sqrt[cols], n, n)
+
+
+@SETTINGS
+@given(n=st.integers(1, 30), data=st.data())
+def test_normalize_sym_inserts_self_loops_as_the_sorted_build_does(n, data):
+    # edges among a drawn subset of the nodes, so others stay isolated: rows
+    # with no entries, or only entries below or above their diagonal
+    linked = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(linked), st.sampled_from(linked)),
+                               max_size=4 * n)) if linked else []
+    adj = build_adjacency(np.array(pairs, dtype=np.int64).reshape(-1, 2), n)
+    got, degrees = normalize_sym(adj)
+    want = normalize_by_sorting(adj)
+    for a, b in ((got.row_offsets, want.row_offsets), (got.col_indices, want.col_indices),
+                 (got.values, want.values)):
+        assert_same(a, b)
+    assert_same(degrees, np.diff(adj.row_offsets).astype(np.float64) + 1.0)
 
 
 # --- feature sampling --------------------------------------------------------

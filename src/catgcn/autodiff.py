@@ -9,18 +9,23 @@ numpy formulas of the two interaction routes, `local_biinteraction` and
 them; they broadcast over leading batch axes and treat axis -2 as the
 feature-row axis.
 
-Memory order is not part of that contract. `interaction` hands the primitives
-slot-major node blocks: (rows, n_f, d) views of C-contiguous (n_f, rows, d)
-memory, which `gather_rows` stores when its ids are in Fortran order. numpy's
-elementwise ufuncs keep their operand's order (`scale_rows` writes into an
-array like its input, as the weights' order would otherwise win), so a
-reduction over axis -2 adds whole slots in contiguous passes and a
-`s[..., None, :]` broadcast writes whole slots; `matmul` runs one gemm per slot
-and returns the same layout. Every op whose bits depend on the order of the
-rows reads them node-major: `gather_rows` scatters its gradient in C order,
-`matmul`'s weight gradient sums rows x n_f rows of node-major copies, and its
-input gradient is numpy's one gemm per node, written back in the input's
-order. So a slot-major block gives the bits of a node-major one.
+Memory order is not part of that contract, and only this module decides it;
+callers state the model. `gather_rows` stores a (rows, n_f) gather from a
+table wider than one column slot-major: a (rows, n_f, d) view of C-contiguous
+(n_f, rows, d) memory. numpy's elementwise ufuncs keep their operand's order
+(`scale_rows` and `elementwise_mul` write into an array like their first
+input, as the other operand's order could otherwise win), so a reduction over
+axis -2 adds whole slots in contiguous passes and a `s[..., None, :]`
+broadcast writes whole slots; `matmul` runs one gemm per slot and returns the
+same layout. Every op whose bits depend on the order of the rows reads them
+node-major: `gather_rows` scatters its gradient in C order, `matmul`'s weight
+gradient sums rows x n_f rows of node-major copies, and its input gradient is
+numpy's one gemm per node, written back in the input's order. Width 1 stays
+node-major: numpy sums a contiguous run of 8 or more values pairwise, so a
+slot-major (rows, n_f, 1) sum rounds differently. A one-column table's gather
+is therefore C-order, and `matmul` computes a one-wide product (n = 1) from a
+node-major copy of its operand. So a slot-major block gives the bits of a
+node-major one.
 
 A record keeps only what its backward rule reads: the tape-local node number
 of its output; for each input, its node number if this tape produced it, the
@@ -170,12 +175,14 @@ class Tape:
         if b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
             raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
         k, n = b.data.shape
-        # each factor is kept only for the other one's gradient; a is kept
-        # node-major, the order of the rows b's gradient sums over
-        x = _node_major(a.data) if b.needs_grad else None
-        w = b.data if a.needs_grad else None
         slot = _slot_major(a.data)
         rows, n_f = a.data.shape[:2] if slot else (0, 0)
+        # a node-major a: the order of the rows b's gradient sums over, and the
+        # memory a one-wide product is computed in (see the module docstring)
+        a_nm = _node_major(a.data) if b.needs_grad or n == 1 else a.data
+        # each factor is kept only for the other one's gradient
+        x = a_nm if b.needs_grad else None
+        w = b.data if a.needs_grad else None
 
         def vjp(g):
             ga = gb = None
@@ -190,10 +197,10 @@ class Tape:
                 ga = np.matmul(g, w.T, out=out)
             return ga, gb
 
-        if slot:  # one gemm per slot over the (n_f, rows, k) memory
+        if slot and n > 1:  # one gemm per slot over the (n_f, rows, k) memory
             out = (a.data.transpose(1, 0, 2) @ b.data).transpose(1, 0, 2)
         else:
-            out = a.data @ b.data
+            out = a_nm @ b.data
         return self._emit(out, (a, b), vjp)
 
     def add_bias(self, x: Tensor, b: Tensor) -> Tensor:
@@ -223,7 +230,9 @@ class Tape:
         def vjp(g):
             return (None if y is None else g * y), (None if x is None else g * x)
 
-        return self._emit(a.data * b.data, (a, b), vjp)
+        # the product in a's memory order, which `a.data * b.data` may give up for b's
+        out = np.multiply(a.data, b.data, out=np.empty_like(a.data))
+        return self._emit(out, (a, b), vjp)
 
     def elementwise_square(self, x: Tensor) -> Tensor:
         xd = x.data
@@ -259,9 +268,9 @@ class Tape:
     def gather_rows(self, table: Tensor, ids: np.ndarray) -> Tensor:
         """table (d, k) indexed by ids (...); backward scatter-adds duplicate ids.
 
-        The rows are stored in the memory order of `ids`: (rows, n_f) ids in
-        Fortran order give a slot-major (rows, n_f, k) view of (n_f, rows, k)
-        memory. The scatter is one `bincount` over the flat slot index
+        (rows, n_f) ids from a table more than one column wide give a
+        slot-major (rows, n_f, k) view of (n_f, rows, k) memory; other ids give
+        C-order rows. The scatter is one `bincount` over the flat slot index
         `id * k + column`, read in node-major (C) order whatever the memory
         order. Each slot sums its contributions in row order, as a `bincount`
         per column does, so the result is the same bit for bit. The index is
@@ -276,7 +285,7 @@ class Tape:
             out = np.bincount(slots.ravel(), weights=g.ravel(), minlength=d * k)
             return (out.reshape(d, k),)
 
-        if ids.ndim == 2 and ids.flags.f_contiguous and not ids.flags.c_contiguous:
+        if ids.ndim == 2 and k > 1:
             rows = table.data.take(ids.T, axis=0).transpose(1, 0, 2)
         else:
             rows = table.data.take(ids, axis=0)

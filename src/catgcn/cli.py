@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ from .data import (
     dataset_fingerprint,
     generate_synthetic,
     load_dataset,
+    read_text,
     write_dataset,
 )
 from .model import ModelParams, model_forward, param_shapes
@@ -81,20 +83,24 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        text = read_text(path).decode("utf-8")
+    except DataError as exc:  # a bad --config file is a usage error, not a data error
+        raise ValueError(str(exc)) from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in _CONFIG_FIELDS:
-                raise ValueError(f"{path}:{lineno}: expected <field>=<value>, got {line!r}")
-            try:
-                out[key] = _PARSERS[_CONFIG_FIELDS[key].type](value.strip())
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    # newline=None splits lines as a text-mode file does
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or key not in _CONFIG_FIELDS:
+            raise ValueError(f"{path}:{lineno}: expected <field>=<value>, got {line!r}")
+        try:
+            out[key] = _PARSERS[_CONFIG_FIELDS[key].type](value.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
@@ -411,10 +417,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         _say(f"error: {exc}")
         return 4
-    except DataError as exc:
-        _say(f"error: {exc}")
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         _say(f"error: {exc}")
         return 3
     except ValueError as exc:

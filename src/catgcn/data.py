@@ -71,7 +71,7 @@ class FeatureSample:
     weights: np.ndarray
 
 
-def _read_text(path: str) -> bytes:
+def read_text(path: str) -> bytes:
     """The file's bytes, checked to be UTF-8 text; an all-ASCII file is."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -198,7 +198,7 @@ def _scan(path: str, bag: bool) -> tuple:
     non-ASCII, other whitespace, longer digit runs, `:weight`) is left to
     `_parse_line`.
     """
-    blob = _read_text(path)
+    blob = read_text(path)
     b = np.frombuffer(blob, dtype=np.uint8)
     # every byte that is not an ASCII digit, then the end of the file read as an LF
     at = np.flatnonzero((b - np.uint8(48)) > 9)
@@ -538,14 +538,14 @@ def generate_synthetic(
     single-feature marginals are class-uniform). global-signal: 70% of each
     node's features come from a pair of feature groups; the label is the pair's
     key sum mod n_classes. homophily: labels uniform, features uniform (only
-    the graph is informative).
+    the graph is informative). Arguments out of range raise ValueError.
     """
     if kind not in SYNTH_KINDS:
-        raise DataError(f"unknown synthetic kind {kind!r}; choose from {SYNTH_KINDS}")
+        raise ValueError(f"unknown synthetic kind {kind!r}; choose from {SYNTH_KINDS}")
     if n_nodes < 10 or n_classes < 2 or n_f < 1:
-        raise DataError("need n_nodes >= 10, n_classes >= 2, n_f >= 1")
+        raise ValueError("need n_nodes >= 10, n_classes >= 2, n_f >= 1")
     if not (0.0 <= p_out <= 1.0 and 0.0 <= p_in <= 1.0):
-        raise DataError("edge probabilities must lie in [0, 1]")
+        raise ValueError("edge probabilities must lie in [0, 1]")
     rng = stream_rng(seed, SYNTH)
 
     if kind == "local-signal":
@@ -555,7 +555,7 @@ def generate_synthetic(
     else:
         labels = rng.integers(0, n_classes, size=n_nodes).astype(np.int64)
         if n_feats < n_f:
-            raise DataError(f"homophily needs n_feats >= n_f, got {n_feats} < {n_f}")
+            raise ValueError(f"homophily needs n_feats >= n_f, got {n_feats} < {n_f}")
         fids = [np.sort(rng.choice(n_feats, size=n_f, replace=False)) for _ in range(n_nodes)]
 
     edges = _sbm_edges(labels, n_classes, p_in, p_out, rng)
@@ -578,12 +578,12 @@ def generate_synthetic(
 def _local_signal_features(n_nodes, n_feats, n_classes, n_f, rng):
     n_signal = 2 * n_classes  # two features per hidden key
     if n_signal > n_feats:
-        raise DataError(
+        raise ValueError(
             f"local-signal needs n_feats >= 2*n_classes, got {n_feats} < {n_signal}"
         )
     n_noise_per_node = max(n_f - 2, 0)
     if n_feats - n_signal < n_noise_per_node:
-        raise DataError(
+        raise ValueError(
             "local-signal noise pool too small: need n_feats >= 2*n_classes + n_f - 2"
         )
     labels = np.empty(n_nodes, dtype=np.int64)
@@ -610,14 +610,14 @@ def _global_signal_features(n_nodes, n_feats, n_classes, n_f, rng):
     n_groups = 4 * n_classes
     group_size = int(0.7 * n_feats) // n_groups
     if group_size < 2:
-        raise DataError(
+        raise ValueError(
             f"global-signal needs n_feats large enough for {n_groups} groups, got {n_feats}"
         )
     noise_lo = n_groups * group_size
     n_sig = max(int(round(0.7 * n_f)), 2)
     n_noise = n_f - n_sig
     if n_feats - noise_lo < max(n_noise, 1):
-        raise DataError("global-signal noise pool too small")
+        raise ValueError("global-signal noise pool too small")
     labels = np.empty(n_nodes, dtype=np.int64)
     fids = []
     for u in range(n_nodes):

@@ -174,8 +174,6 @@ def spmm(m: CsrMatrix, x: np.ndarray) -> np.ndarray:
     if m.num_cols != x.shape[0]:
         raise ValueError(f"dimension mismatch: {m.num_rows}x{m.num_cols} @ {x.shape}")
     out = np.zeros((m.num_rows, x.shape[1]))
-    if m.nnz == 0:
-        return out
     offsets = m.row_offsets
     entries = max(1, SPMM_CHUNK_BYTES // (8 * max(1, x.shape[1])))
     lo = 0

@@ -21,18 +21,8 @@ array fits in `NODE_BLOCK_BYTES`, and fills one (N, C) array. The (N, n_f, d)
 arrays a single pass would allocate are never built, and neither is any
 (N, d) array. Each block gathers its rows once, and both routes start from
 that one gather and one row sum. A block draws only its slice of each whole
-dropout mask, so the masks are the same bits as one pass.
-
-Each block is stored slot-major: `stage` gathers with Fortran-ordered ids, so
-the block's rows are (n_f, rows, d) memory behind the (rows, n_f, d) view the
-primitives see, and the routes' sums over a node's feature rows and the
-row-sum broadcasts run as contiguous passes over whole slots (see `autodiff`
-for the memory rule). Site 0's mask is drawn node-major, so its bits do not
-depend on the layout, and stored in the rows' order. The layout changes no
-bit, with one exception that keeps blocks node-major: numpy sums a contiguous
-run of 8 or more values pairwise, so it would round a (rows, n_f, 1) sum
-differently in the two layouts, and blocks whose pooled rows are one wide
-(d_emb = 1, or d_hidden = 1 in the global route) stay node-major.
+dropout mask, so the masks are the same bits as one pass. How a block is laid
+out in memory is `autodiff`'s decision alone, and changes no bit.
 
 Training keeps only the (N, C) output (block-level activation checkpointing,
 Chen et al. 2016, arXiv:1604.06174). The forward runs each block on constants,
@@ -49,7 +39,10 @@ forward in the backward. Train and eval run the same blocks, so the taped
 logits are `model_forward`'s bit for bit. But the 2-D projection gemms run per
 block, and their last bits depend on how the rows are split, so loss, logits
 and every parameter gradient differ from one pass over all nodes in their last
-bits (within 1e-12 relative), and depend on the block size.
+bits, and depend on the block size. Loss and logits stay within 1e-12
+relative. A gradient is a sum of per-block parts, and reassociating a sum errs
+by up to the size of its parts, not of its total. So the bound is normwise:
+every gradient entry stays within 1e-12 of the largest entry of any gradient.
 """
 
 from __future__ import annotations
@@ -155,9 +148,6 @@ def forward_all_nodes(table: Tensor, params, config: TrainConfig, sample, tape: 
     leaves.update((n, t) for n in names if (t := getattr(params, n, None)) is not None)
     act = config.final_activation
     sites = () if epoch is None or config.dropout <= 0.0 else DROPOUT_SITES[config.dropout_site]
-    # numpy sums 8 or more slots of a (rows, n_f, 1) array pairwise in
-    # node-major memory, so blocks stay node-major when one is pooled
-    slot_major = table.shape[1] > 1 and (alpha == 0.0 or leaves["w_conv"].shape[1] > 1)
 
     def drop(block_tape, x, site, rows):
         """x times the block's slice of the site's mask, which starts at the
@@ -166,17 +156,11 @@ def forward_all_nodes(table: Tensor, params, config: TrainConfig, sample, tape: 
             return x
         mask = dropout_mask(x.shape, config.dropout, config.seed, epoch, site,
                             rows.start * (x.data.size // len(x.data)))
-        if site == 0:  # drawn node-major, stored in the rows' memory order
-            laid = np.empty_like(x.data)
-            laid[...] = mask
-            mask = laid
         return block_tape.elementwise_mul(x, Tensor(mask))
 
     def stage(block_tape, leaves, rows, ids):
         """H of the nodes in `rows`, whose feature ids `ids` index
         leaves["table"], recorded on `block_tape`: one gather for both routes."""
-        if slot_major:
-            ids = np.asfortranarray(ids)
         e = block_tape.scale_rows(block_tape.gather_rows(leaves["table"], ids),
                                   sample.weights[rows])
         e = drop(block_tape, e, 0, rows)

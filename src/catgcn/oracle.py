@@ -25,7 +25,12 @@ def probe_matrix(n: int, rho: float) -> np.ndarray:
     return (np.ones((n, n)) + rho * np.eye(n)) / (n + rho)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
+# the convergence tolerance relative to the matrix norm, and the sweep limit, of
+# `jacobi_eigh`
+JACOBI_TOL, JACOBI_MAX_SWEEPS = 1e-13, 100
+
+
+def jacobi_eigh(a: np.ndarray):
     """Cyclic Jacobi eigendecomposition of a symmetric matrix.
 
     Returns eigenvalues ascending and the matching orthonormal eigenvector
@@ -41,9 +46,9 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
     a = (a + a.T) / 2.0
     v = np.eye(n)
     scale = max(np.sqrt((a * a).sum()), 1.0)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = np.sqrt(2.0 * (np.triu(a, 1) ** 2).sum())
-        if off <= tol * scale:
+        if off <= JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -213,16 +218,14 @@ def biinteraction_agreement(num_matrices: int = 500, seed: int = 0) -> float:
     return worst
 
 
-def run_verification(
-    theorem_cells: int = 200,
-    spectrum_ns=(2, 5, 10, 20),
-    spectrum_rhos=(0.0, 1.0, 5.0, 21.0, 30.0),
-    bi_matrices: int = 500,
-    seed: int = 0,
-) -> dict:
+# the (n, rho) grid of the full report's spectrum checks
+SPECTRUM_NS, SPECTRUM_RHOS = (2, 5, 10, 20), (0.0, 1.0, 5.0, 21.0, 30.0)
+
+
+def run_verification(theorem_cells: int = 200, bi_matrices: int = 500, seed: int = 0) -> dict:
     """Full certification report used by the CLI; JSON-serializable."""
     theorem = theorem_sweep(theorem_cells, seed=seed)
-    spectra = [spectrum_check(n, rho) for n in spectrum_ns for rho in spectrum_rhos]
+    spectra = [spectrum_check(n, rho) for n in SPECTRUM_NS for rho in SPECTRUM_RHOS]
     bi_gap = biinteraction_agreement(bi_matrices, seed=seed)
     bi_tolerance = 1e-12
     failed_theorem = [asdict(c) for c in theorem if not c.passed]

@@ -142,14 +142,14 @@ def xavier_init(num_features: int, num_classes: int, config: TrainConfig) -> Mod
     return ModelParams(**params)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: ModelParams) -> AdamState:
@@ -165,21 +165,21 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> 
     (dead routes) are treated as zero-gradient: moments decay, momentum may
     still move them."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, tensor in params.named_tensors().items():
         g = grads.get(tensor)
         if g is None:
             g = np.zeros_like(tensor.data)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         if lr == 0.0:
             continue  # moments updated, parameters bit-for-bit unchanged
-        tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def accuracy_macro_f1(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> tuple[float, float]:

@@ -385,6 +385,32 @@ def test_replay_is_the_vjp_at_the_seed():
         replay(tape, pooled(tape), seed[:4])
 
 
+def test_replay_skips_records_whose_output_got_no_gradient():
+    # the tape also records a branch the replayed output never reads, one
+    # record before the output and two after it; the replay passes over them
+    # and gives the gradients of the tape without the branch
+    rng = np.random.default_rng(22)
+    table, w, v = leaf(rng, 6, 4), leaf(rng, 4, 3), leaf(rng, 4, 2)
+    ids = rng.integers(0, 6, size=(5, 3))
+    seed = rng.normal(size=(5, 3))
+
+    def grads(branch):
+        tape = Tape()
+        e = tape.gather_rows(table, ids)
+        if branch:
+            tape.scale(e, 2.0)
+        out = tape.mean_rows(tape.matmul(e, w))
+        if branch:
+            tape.relu(tape.matmul(e, v))
+        assert len(tape._records) == (6 if branch else 3)
+        return replay(tape, out, seed)
+
+    with_branch, without = grads(True), grads(False)
+    assert list(with_branch) == list(without) == [w, table]
+    for t, g in with_branch.items():
+        assert g.tobytes() == without[t].tobytes()
+
+
 def test_backward_rejects_foreign_tensor():
     x = Tensor(np.ones(3), requires_grad=True)
     tape = Tape()

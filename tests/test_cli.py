@@ -179,6 +179,31 @@ def test_bad_config_file_value_names_file_and_line(tmp_path, capsys, line, field
     assert f"error: {cfg}:3: {field}: {reason}" in err
 
 
+@pytest.mark.parametrize("where", ["start", "past the first chunk"])
+def test_non_utf8_config_file_is_usage_error_naming_it(tmp_path, capsys, where):
+    cfg = tmp_path / "bad.cfg"
+    good = b"max_epochs=3\n" + (b"# padding\n" * 3000 if where != "start" else b"")
+    blob, offset = (b"\xff\xfe" + good, 0) if where == "start" else (good + b"\xff", len(good))
+    cfg.write_bytes(blob)
+    # the dataset paths do not exist: the config file is read first and exits 2
+    code, _, err = run(capsys, "train", "--edges", "/no/e", "--features", "/no/f",
+                       "--labels", "/no/l", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert f"error: {cfg}: not UTF-8 text: byte {offset} (0xff): invalid start byte" in err
+
+
+@pytest.mark.parametrize("spelling", ["0", "false", "no", "off", " OFF ", "False"])
+def test_false_spellings_of_a_bool_flag_and_config_line(tmp_path, spelling):
+    # deep_projection defaults to False, so every spelling resolves to the defaults
+    assert TrainConfig().deep_projection is False
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"deep_projection={spelling}\n")
+    parser = build_parser()
+    data = ["--edges", "e", "--features", "f", "--labels", "l"]
+    for args in (["--deep-projection", spelling], ["--config", str(cfg)]):
+        assert _resolve_config(parser.parse_args(["train", *data, *args])) == TrainConfig()
+
+
 def test_missing_dataset_is_data_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "train", "--edges", "/no/such/file", "--features", "/no/f",
@@ -673,3 +698,25 @@ def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["train", "--bogus-flag", "1"])
     assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--nodes", "5"], "need n_nodes >= 10, n_classes >= 2, n_f >= 1"),
+    (["--classes", "1"], "need n_nodes >= 10, n_classes >= 2, n_f >= 1"),
+    (["--n-f", "0"], "need n_nodes >= 10, n_classes >= 2, n_f >= 1"),
+    (["--p-out", "-0.1"], "edge probabilities must lie in [0, 1]"),
+    (["--feats", "3", "--n-f", "5"], "homophily needs n_feats >= n_f, got 3 < 5"),
+    (["--kind", "local-signal", "--feats", "5"],
+     "local-signal needs n_feats >= 2*n_classes, got 5 < 6"),
+    (["--kind", "global-signal", "--feats", "10"],
+     "global-signal needs n_feats large enough for 12 groups, got 10"),
+])
+def test_synth_out_of_range_value_is_usage_error(tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "out"
+    base = {"--kind": "homophily", "--nodes": "50", "--feats": "30", "--classes": "3"}
+    base.update(zip(flags[::2], flags[1::2]))
+    code, out, err = run(capsys, "synth", *[a for kv in base.items() for a in kv],
+                         "--out-dir", str(out_dir))
+    assert code == 2
+    assert f"error: {message}" in err
+    assert out == "" and not out_dir.exists()

@@ -367,12 +367,14 @@ def test_sbm_respects_zero_probabilities():
 
 
 def test_generate_rejects_bad_arguments():
-    with pytest.raises(DataError, match="unknown synthetic kind"):
-        generate_synthetic("nope", 100, 30, 2, 5, 0.1, 0.1, seed=0)
-    with pytest.raises(DataError):
-        generate_synthetic("local-signal", 100, 5, 4, 5, 0.1, 0.1, seed=0)
-    with pytest.raises(DataError):
-        generate_synthetic("homophily", 100, 30, 2, 5, 1.5, 0.1, seed=0)
+    # bad arguments are the caller's error, not the data's: exactly ValueError,
+    # never its subclass DataError
+    for args, message in [(("nope", 100, 30, 2, 5, 0.1, 0.1), "unknown synthetic kind"),
+                          (("local-signal", 100, 5, 4, 5, 0.1, 0.1), "local-signal needs"),
+                          (("homophily", 100, 30, 2, 5, 1.5, 0.1), "edge probabilities")]:
+        with pytest.raises(ValueError, match=message) as exc:
+            generate_synthetic(*args, seed=0)
+        assert exc.type is ValueError
 
 
 def test_generate_synthetic_deterministic():

@@ -118,13 +118,20 @@ def test_spmm_matches_dense():
         assert np.abs(spmm(norm, x) - norm.to_dense() @ x).max() < 1e-13
 
 
-def test_spmm_handles_empty_rows():
+def test_spmm_handles_empty_rows(monkeypatch):
     # no edges at all: normalization is the identity; raw adjacency rows are empty
     adj = build_adjacency(np.empty((0, 2), dtype=np.int64), 4)
+    assert adj.nnz == 0
     x = np.arange(8.0).reshape(4, 2)
-    assert np.array_equal(spmm(adj, x), np.zeros((4, 2)))
     norm, _ = normalize_sym(adj)
-    assert np.array_equal(spmm(norm, x), x)
+    # a matrix with no entries gives zeros from the chunk loop alone, whether
+    # one chunk covers every row or each row is a chunk of its own
+    for budget in (8, 1 << 20):
+        monkeypatch.setattr(catgcn.graph, "SPMM_CHUNK_BYTES", budget)
+        for c in (1, 2):
+            got = spmm(adj, x[:, :c])
+            assert got.dtype == np.float64 and np.array_equal(got, np.zeros((4, c)))
+        assert np.array_equal(spmm(norm, x), x)
 
 
 def test_spmm_in_row_chunks_is_bit_equal_to_one_chunk(monkeypatch):

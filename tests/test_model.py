@@ -219,6 +219,22 @@ def test_training_step_is_bit_equal_to_reference_tape(route, extra):
         assert g.shape == t.shape and g.tobytes() == ref_grads[t].tobytes()
 
 
+def test_training_step_with_a_table_that_needs_no_gradient():
+    # the per-node rule gets no gradient for a table that needs none and skips
+    # it; every other gradient keeps the ordinary step's bytes
+    ds, cfg, norm, sample, params = setup(seed=4, weights="mixed", dropout=0.3,
+                                          dropout_site="both", eta=0.01)
+    args = (sample, norm, cfg, ds.labels, make_split(ds, 4).train_ids)
+    loss, grads, y = training_step(params, *args, epoch=2)
+    frozen = dataclasses.replace(params, embedding=Tensor(params.embedding.data))
+    frozen_loss, frozen_grads, frozen_y = training_step(frozen, *args, epoch=2)
+    assert params.embedding in grads and frozen.embedding not in frozen_grads
+    assert frozen_loss == loss and frozen_y.tobytes() == y.tobytes()
+    assert list(frozen_grads) == [t for t in grads if t is not params.embedding]
+    for t, g in frozen_grads.items():
+        assert g.tobytes() == grads[t].tobytes()
+
+
 def test_training_step_leaves_inputs_and_logits_unchanged():
     # backward adds into gradient arrays in place; none of them may be an array
     # the forward produced, a parameter, or another returned gradient

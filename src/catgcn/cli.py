@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout; human-readable progress and summaries go
 to stderr. Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 data error, 4 training divergence.
+3 data error or out of memory, 4 training divergence, 5 internal error (any
+other exception, reported in one line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -423,6 +424,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _say(f"error: {exc}")
         return 2
+    except MemoryError as exc:
+        _say(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
+        return 3
+    except Exception as exc:
+        _say(f"internal error: {type(exc).__name__}: {exc}")
+        return 5
 
 
 if __name__ == "__main__":

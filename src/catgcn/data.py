@@ -5,9 +5,10 @@ File formats (UTF-8, LF, tab-separated, `#` comment lines ignored):
   features.tsv  node<TAB>tok ...   tok is `id` or `id:weight`; one line per node
   labels.tsv    node<TAB>class     nodes may be missing (unlabeled)
 
-The loader parses each file from its bytes (`_scan`): numpy finds the line
-breaks, TABs and spaces, and builds the value of every field of 1 to 18 ASCII
-digits with one pass per digit position. A line with any other field (a sign,
+The loader parses each file from its bytes (`_scan`), in windows of whole
+lines of about `SETUP_CHUNK_BYTES`: numpy finds the line breaks, TABs and
+spaces, and builds the value of every field of 1 to 18 ASCII digits with one
+pass per digit position. A line with any other field (a sign,
 `_`, non-ASCII digits, surrounding whitespace, 19 digits or more, a
 `:weight`, or a bag split at other whitespace) is parsed from its text by
 `_parse_line`, the one owner of the line grammar and its messages, so each file
@@ -184,6 +185,21 @@ def _raise_first_fault(kind, path, lines, bad, num_nodes=0, nodes=None) -> None:
 _PLAIN_DIGITS = 18
 _TAB, _LF, _CR, _SPACE, _HASH = 9, 10, 13, 32, 35
 
+# byte budget of one window of the set-up loops: `_scan` parses at most this
+# many file bytes at a time, and the bag sorts of `_load_features` and
+# `sample_features` take as many bags of one size at a time as keep an int64
+# (bags, width) array within it. At the 100k-node eval inputs (10 MB of files)
+# windows took the load's peak RSS from 111 to 86 MB and `catgcn eval`'s from
+# 124-132 to 103-111 MB (by checkout path), which later phases now set
+SETUP_CHUNK_BYTES = 1 << 20
+
+
+def _bag_blocks(group: np.ndarray, width: int) -> list:
+    """`group`'s bags in blocks whose int64 (bags, width) arrays stay within
+    `SETUP_CHUNK_BYTES`, each at least one bag."""
+    step = max(1, SETUP_CHUNK_BYTES // (8 * max(width, 1)))
+    return [group[i:i + step] for i in range(0, len(group), step)]
+
 
 def _scan(path: str, bag: bool) -> tuple:
     """(lines, plain, heads, tails, sizes) of a `head<TAB>tail` file, parsed from its bytes.
@@ -197,10 +213,49 @@ def _scan(path: str, bag: bool) -> tuple:
     `sizes` how many tail fields each line has. Every other line (signs,
     non-ASCII, other whitespace, longer digit runs, `:weight`) is left to
     `_parse_line`.
+
+    The bytes are parsed in windows of at most `SETUP_CHUNK_BYTES`, each ending
+    just after an LF (a longer line is a window of its own, and so is a file
+    with no LF, such as one with CR line ends), so no window splits a line and
+    the per-byte temporaries stay window-sized; line numbers and byte offsets
+    carry over from one window to the next.
     """
     blob = read_text(path)
-    b = np.frombuffer(blob, dtype=np.uint8)
-    # every byte that is not an ASCII digit, then the end of the file read as an LF
+    # the windows' (start, end, lineno, plain, heads, tails, sizes), one list each
+    parts = [[] for _ in range(7)]
+    lo, lines_before = 0, 0
+    for hi in _window_ends(blob):
+        b = np.frombuffer(blob, dtype=np.uint8, count=hi - lo, offset=lo)
+        start, end, lineno, *rest, n_lines = _scan_window(b, bag)
+        for part, array in zip(parts, (start + lo, end + lo, lineno + lines_before, *rest)):
+            part.append(array)
+        lo, lines_before = hi, lines_before + n_lines
+    for i, pieces in enumerate(parts):
+        parts[i] = np.concatenate(pieces)  # a field's pieces are freed once it is joined
+    start, end, lineno, plain, heads, tails, sizes = parts
+    return _Lines(blob, start, end, lineno), plain, heads, tails, sizes
+
+
+def _window_ends(blob: bytes):
+    """The end of each window `_scan` parses: at most `SETUP_CHUNK_BYTES` past
+    its start, just after the window's last LF, or just after the line's LF
+    when one line is longer; the last window ends at the end of the file."""
+    lo = 0
+    while lo + SETUP_CHUNK_BYTES < len(blob):
+        cut = blob.rfind(b"\n", lo, lo + SETUP_CHUNK_BYTES)
+        if cut < 0:
+            cut = blob.find(b"\n", lo + SETUP_CHUNK_BYTES)
+            if cut < 0:
+                break
+        lo = cut + 1
+        yield lo
+    yield len(blob)
+
+
+def _scan_window(b: np.ndarray, bag: bool) -> tuple:
+    """`_scan` of the bytes `b` of whole lines: (start, end, lineno, plain, heads,
+    tails, sizes, line count), bytes and line numbers counted from `b`'s start."""
+    # every byte that is not an ASCII digit, then the end of the bytes read as an LF
     at = np.flatnonzero((b - np.uint8(48)) > 9)
     pos = np.append(at, len(b))
     byte = np.append(b[at], np.uint8(_LF))
@@ -243,8 +298,9 @@ def _scan(path: str, bag: bool) -> tuple:
     tails = _digit_values(b, pos[tail] - run[tail], run[tail])
     head = first[plain]
     heads = _digit_values(b, pos[head] - run[head], run[head])
-    lines = _Lines(blob, start[kept], end[kept], np.flatnonzero(kept) + 1)
-    return lines, plain[kept], heads, tails, sizes
+    # the end of the bytes ends one more line, empty when they end with an LF
+    return (start[kept], end[kept], np.flatnonzero(kept) + 1, plain[kept], heads, tails, sizes,
+            len(last) - 1)
 
 
 def _digit_values(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -312,10 +368,10 @@ def _repeats(values: np.ndarray) -> np.ndarray:
 def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(bag offsets, feature ids, weights) of a features file, bags in node order.
 
-    Each line's ids are sorted in place, the lines of one size as one
-    (lines, size) block (`size_groups`). An id repeated on a line sorts next
-    to its twin under any sort, which is how such a line is found and
-    rejected. Lines out of node order are then moved whole.
+    Each line's ids are sorted in place, the lines of one size as (lines,
+    size) blocks (`size_groups`, `_bag_blocks`). An id repeated on a line
+    sorts next to its twin under any sort, which is how such a line is found
+    and rejected. Lines out of node order are then moved whole.
     """
     lines, nodes, sizes, bad, fids, weights = _parse("features", path)
     # the lines' offsets into the flat arrays, which are the bags' offsets
@@ -323,13 +379,14 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     offsets = np.zeros(len(lines) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     bad |= _repeats(nodes) | (sizes == 0)
-    tok_line = np.repeat(np.arange(len(lines)), sizes)
     for group in size_groups(sizes):
-        pos = offsets[group, None] + np.arange(sizes[group[0]])
-        pos_sorted = np.take_along_axis(pos, np.argsort(fids[pos], axis=1), axis=1)
-        fids[pos], weights[pos] = fids[pos_sorted], weights[pos_sorted]
-    repeated = (fids[1:] == fids[:-1]) & (tok_line[1:] == tok_line[:-1])
-    bad[tok_line[1:][repeated]] = True
+        size = int(sizes[group[0]])
+        for block in _bag_blocks(group, size):
+            pos = offsets[block, None] + np.arange(size)
+            pos_sorted = np.take_along_axis(pos, np.argsort(fids[pos], axis=1), axis=1)
+            block_ids = fids[pos_sorted]
+            fids[pos], weights[pos] = block_ids, weights[pos_sorted]
+            bad[block[(block_ids[:, 1:] == block_ids[:, :-1]).any(axis=1)]] = True
     _raise_first_fault("features", path, lines, bad, nodes=nodes)
 
     if not lines:
@@ -484,9 +541,10 @@ def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
 
     A node's keys are distinct (`counter_keys` is a bijection of the slot),
     so the key order within a bag is unique. It comes from one
-    `argsort(axis=1)` per group of same-size bags (`size_groups`), which
-    equals a sort by (node, key) over all slots. A sample too large to
-    allocate raises DataError.
+    `argsort(axis=1)` per block of same-size bags (`size_groups`, whose
+    groups `_bag_blocks` cuts to the (bags, max(|S|, n_f)) arrays that fit
+    `SETUP_CHUNK_BYTES`), which equals a sort by (node, key) over all slots.
+    A sample too large to allocate raises DataError.
     """
     if n_f < 1:
         raise ValueError(f"n_f must be >= 1, got {n_f}")
@@ -500,19 +558,20 @@ def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
         raise DataError(f"cannot allocate the feature sample: n_f is {n_f} for "
                         f"{ds.num_nodes} nodes") from None
     sizes = np.diff(ds.bag_offsets)
-    for nodes in size_groups(sizes):
-        size = int(sizes[nodes[0]])
-        node = nodes[:, None]
-        start = ds.bag_offsets[node]
-        keys = counter_keys(seed, SAMPLE, node, np.arange(size))
-        pick = start + np.argsort(keys, axis=1)[:, :n_f]
-        if size < n_f:
-            fill_key = counter_keys(seed, SAMPLE, node, np.arange(size, n_f))
-            pick = np.concatenate(
-                [pick, start + (fill_key % np.uint64(size)).astype(np.int64)], axis=1
-            )
-        ids[nodes] = ds.bag_ids[pick]
-        weights[nodes] = ds.bag_weights[pick]
+    for group in size_groups(sizes):
+        size = int(sizes[group[0]])
+        for nodes in _bag_blocks(group, max(size, n_f)):
+            node = nodes[:, None]
+            start = ds.bag_offsets[node]
+            keys = counter_keys(seed, SAMPLE, node, np.arange(size))
+            pick = start + np.argsort(keys, axis=1)[:, :n_f]
+            if size < n_f:
+                fill_key = counter_keys(seed, SAMPLE, node, np.arange(size, n_f))
+                pick = np.concatenate(
+                    [pick, start + (fill_key % np.uint64(size)).astype(np.int64)], axis=1
+                )
+            ids[nodes] = ds.bag_ids[pick]
+            weights[nodes] = ds.bag_weights[pick]
     return FeatureSample(ids=ids, weights=weights)
 
 

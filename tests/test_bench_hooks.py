@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from catgcn.cli import main
+from catgcn.data import SETUP_CHUNK_BYTES
 from catgcn.interaction import NODE_BLOCK_BYTES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,6 +71,26 @@ def test_traced_eval_counts_every_node_block_once(tmp_path):
     assert names.count("interaction.forward_all_nodes") == 1
     assert names.count("autodiff.tape.gather_rows") >= 2
     assert evaluate["counts"]["interaction.embed_elems"] == nodes * n_f * d
+
+
+def test_traced_eval_over_several_setup_windows_records_one_span_each(tmp_path):
+    # large enough that the loader parses the features file in several windows
+    # and the sampler sorts its bags in several blocks; each runs its loop
+    # inside one call, so the per-layer times still come from one span each
+    nodes, n_f = 40_000, 10
+    assert nodes * n_f * 8 > 2 * SETUP_CHUNK_BYTES
+    data = tmp_path / "ds"
+    assert main(["synth", "--kind", "homophily", "--nodes", str(nodes), "--feats", "5000",
+                 "--classes", "3", "--n-f", str(n_f), "--p-in", "0.0001", "--p-out", "0.00001",
+                 "--seed", "5", "--out-dir", str(data)]) == 0
+    assert os.path.getsize(data / "features.tsv") > 2 * SETUP_CHUNK_BYTES
+    args = [f"--{kind}={data}/{kind}.tsv" for kind in ("edges", "features", "labels")]
+    assert main(["train", *args, "--n-f", str(n_f), "--d-emb", "4", "--d-hidden", "4",
+                 "--max-epochs", "1", "--quiet", "--out-dir", str(tmp_path / "run")]) == 0
+    evaluate = traced(tmp_path, "eval", "eval", f"--checkpoint={tmp_path}/run/checkpoint.bin",
+                      *args)
+    names = [span[0] for span in evaluate["spans"]]
+    assert names.count("data.load_dataset") == names.count("data.sample_features") == 1
 
 
 def test_traced_train_in_node_blocks_keeps_the_hooked_counts(tmp_path):

@@ -275,6 +275,25 @@ def test_failed_sample_allocation_is_data_error(dataset_dir, tmp_path, capsys, m
     assert "error: cannot allocate the feature sample: n_f is 7 for 120 nodes" in err
 
 
+@pytest.mark.parametrize("exc, code, line", [
+    (MemoryError("Unable to allocate 8.00 GiB for an array"), 3,
+     "error: out of memory: Unable to allocate 8.00 GiB for an array"),
+    (MemoryError(), 3, "error: out of memory"),
+    (RuntimeError("flagged by the bulk checks"), 5,
+     "internal error: RuntimeError: flagged by the bulk checks"),
+    (KeyError("x"), 5, "internal error: KeyError: 'x'"),
+])
+def test_unexpected_failure_is_one_line_without_traceback(dataset_dir, tmp_path, capsys,
+                                                          monkeypatch, exc, code, line):
+    # exit 1 is verification failure, so neither kind may end in a traceback's exit 1
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("catgcn.cli.load_dataset", fail)
+    assert run(capsys, "train", *data_args(dataset_dir), "--quiet",
+               "--out-dir", str(tmp_path / "out")) == (code, "", line + "\n")
+
+
 @pytest.mark.parametrize("cut", ["header", "payload"])
 def test_truncated_checkpoint_is_data_error(dataset_dir, tmp_path, capsys, cut):
     out_dir = tmp_path / "run"

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from catgcn.data import (
+    SETUP_CHUNK_BYTES,
     DataError,
     dataset_fingerprint,
     generate_synthetic,
@@ -199,21 +200,44 @@ def test_loaded_dataset_holds_little_beyond_its_arrays(tmp_path):
     assert kept <= 1.5 * sum(a.nbytes for a in arrays)
 
 
-def test_load_peak_memory_is_a_small_multiple_of_the_files(tmp_path):
-    # 4000 bags of 10 ids: parsing from the bytes peaks at 10.7 times the
-    # files' size (in the bag sorts after the parse); Python token strings
-    # peaked at 18.5 times
-    ds = generate_synthetic("homophily", 4000, 1000, 4, 10, 0.002, 0.0002, seed=1)
-    paths = write_dataset(ds, str(tmp_path))
+@pytest.fixture(scope="module")
+def windowed_files(tmp_path_factory):
+    # 40k bags of 10 ids: the 2.1 MB features file spans three set-up windows
+    # and every sort of its bags or of their sample keys several blocks
+    ds = generate_synthetic("homophily", 40_000, 5000, 4, 10, 0.0002, 0.00002, seed=1)
+    paths = write_dataset(ds, str(tmp_path_factory.mktemp("windowed")))
     files = (paths["edges"], paths["features"], paths["labels"])
-    load_dataset(*files)  # first call: module-level caches fill outside the count
+    assert os.path.getsize(paths["features"]) > 2 * SETUP_CHUNK_BYTES
+    return files
+
+
+def test_load_peak_memory_is_a_small_multiple_of_the_files(windowed_files):
+    # parsing in windows and sorting the bags in blocks peaks at 5.3 times the
+    # files' size; parsing and sorting each file whole peaked at 8.8 times, and
+    # Python token strings at 18.5 times (at 4k bags)
+    load_dataset(*windowed_files)  # first call: module-level caches fill outside the count
     tracemalloc.start()
     try:
-        load_dataset(*files)
+        load_dataset(*windowed_files)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 14 * sum(os.path.getsize(p) for p in files)
+    assert peak <= 6 * sum(os.path.getsize(p) for p in windowed_files)
+
+
+def test_sample_peak_memory_is_a_small_multiple_of_its_outputs(windowed_files):
+    # sorting the sample keys in blocks peaks at 1.95 times the sample's two
+    # arrays; one sort per size group peaked at 2.7 times
+    ds = load_dataset(*windowed_files)
+    sample_features(ds, 10, seed=3)  # first call: module-level caches fill outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sample = sample_features(ds, 10, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * (sample.ids.nbytes + sample.weights.nbytes)
 
 
 def test_fingerprint_tracks_content(tmp_path):

@@ -229,18 +229,30 @@ def valid_files(draw):
 
 @st.composite
 def dressed(draw, files):
-    """Interleave comments and blank lines, pick one line ending per file, and
-    sometimes leave the last line without it."""
+    """Interleave comments and blank lines, pick one line ending per file, end
+    some lines with another (a CRLF or a lone CR in an LF file), and sometimes
+    leave the last line without its ending.
+
+    Comments run from 1 to 90 bytes, so they shift the lines after them across
+    the 64-byte windows of the `setup_budget` fixture: CRs, blank lines and
+    comments fall at window edges, and a comment can be longer than a window.
+    """
     texts = []
     for lines in files:
         end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
         out = []
         for line in lines:
             if draw(st.integers(0, 5)) == 0:
-                out.append(draw(st.sampled_from(["# note", "#", ""])) if end != "\r" else "# c")
-            out.append(line)
-        text = "".join(line + end for line in out)
-        texts.append(text[: -len(end)] if text and draw(st.booleans()) else text)
+                if draw(st.booleans()):
+                    # not ended by a lone CR, which would make it a line holding a CR
+                    out.append(("", draw(st.sampled_from(["\n", "\r\n"]))))
+                else:
+                    out.append(("#" + draw(st.text("# x", max_size=89)), end))
+            other = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+            out.append((line, other if draw(st.integers(0, 7)) == 0 else end))
+        if out and draw(st.booleans()):
+            out[-1] = (out[-1][0], "")
+        texts.append("".join(line + ending for line, ending in out))
     return texts
 
 
@@ -262,7 +274,7 @@ def encoded(draw, texts):
 
 @SETTINGS
 @given(data=st.data())
-def test_loader_matches_oracle_on_valid_files(tmp_path, data):
+def test_loader_matches_oracle_on_valid_files(tmp_path, setup_budget, data):
     texts = data.draw(dressed(data.draw(valid_files())))
     assert_same_outcome(write(tmp_path, texts))
 
@@ -314,7 +326,7 @@ def faulty_files(draw):
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_loader_matches_oracle_on_faulty_files(tmp_path, data):
+def test_loader_matches_oracle_on_faulty_files(tmp_path, setup_budget, data):
     texts = data.draw(dressed(data.draw(faulty_files())))
     assert_same_outcome(write(tmp_path, data.draw(encoded(texts))))
 

@@ -160,7 +160,8 @@ def assert_sample_matches_lexsort(ds, n_f, seed):
 @SETTINGS
 @given(sizes=st.lists(st.integers(1, 14), min_size=1, max_size=25),
        n_f=st.integers(1, 10), seed=st.integers(0, 2**63 - 1), data=st.data())
-def test_sample_features_matches_lexsort_on_mixed_bag_sizes(sizes, n_f, seed, data):
+def test_sample_features_matches_lexsort_on_mixed_bag_sizes(sizes, n_f, seed, data,
+                                                              setup_budget):
     # bags shorter than, as long as and longer than n_f, in any order, and
     # sometimes one bag 1000 times the largest of the others
     if data.draw(st.booleans()):
@@ -169,7 +170,7 @@ def test_sample_features_matches_lexsort_on_mixed_bag_sizes(sizes, n_f, seed, da
 
 
 @pytest.mark.parametrize("n_f", [1, 4, 10])
-def test_sample_features_matches_lexsort_with_one_huge_bag(n_f):
+def test_sample_features_matches_lexsort_with_one_huge_bag(n_f, setup_budget):
     sizes = [max(n_f - 1, 1), n_f, n_f + 1, 1, 1000 * (n_f + 1), n_f, 2]
     assert_sample_matches_lexsort(make_dataset(bags_of(sizes)), n_f, seed=2**63 - 1)
 
@@ -181,7 +182,7 @@ fid = st.one_of(st.integers(0, 40), st.integers(2**63 - 40, 2**63 - 1))
 
 @SETTINGS
 @given(data=st.data())
-def test_loaded_bags_match_lexsort(tmp_path, data):
+def test_loaded_bags_match_lexsort(tmp_path, setup_budget, data):
     # lines in any node order, ids in any order within a line, some near 2**63 - 1
     n = data.draw(st.integers(1, 15))
     lines = []

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import canonical_edges, size_groups
+from .graph import canonical_edges, is_unit, size_groups, unit_values
 from .rng import SAMPLE, SPLIT, SYNTH, counter_keys, stream_rng
 
 
@@ -43,7 +43,8 @@ class RawDataset:
     # of the flat arrays, in ascending id order
     bag_offsets: np.ndarray  # (N + 1,) int64, strictly increasing: no bag is empty
     bag_ids: np.ndarray  # int64, distinct within a bag
-    bag_weights: np.ndarray  # float64, finite and positive
+    # float64, finite and positive; `unit_values` (read-only, 8 bytes) when all are 1.0
+    bag_weights: np.ndarray
     labels: np.ndarray  # (N,) int64, -1 marks unlabeled
     diagnostics: dict = field(default_factory=dict)
 
@@ -66,7 +67,10 @@ class SplitAssignment:
 
 @dataclass(frozen=True)
 class FeatureSample:
-    """Fixed-size per-node feature sample: ids and weights, both (N, n_f)."""
+    """Fixed-size per-node feature sample: ids and weights, both (N, n_f).
+
+    The weights are `unit_values`, read-only, when the bags' weights are.
+    """
 
     ids: np.ndarray
     weights: np.ndarray
@@ -331,8 +335,9 @@ def _merge(plain: np.ndarray, plain_values: np.ndarray, odd_values: np.ndarray) 
 def _parse(kind: str, path: str, num_nodes: int = 0) -> tuple:
     """(lines, heads, tail sizes, line faults, tail ids, tail weights) of a `kind`
     file; tail arrays are flat, in file order, and weights are only read for
-    features (None otherwise). A line `_parse_line` rejects is marked faulty
-    and reads as one head 0 and one tail 0."""
+    features (None otherwise), as `unit_values` when every token's is 1.0. A
+    line `_parse_line` rejects is marked faulty and reads as one head 0 and
+    one tail 0."""
     bag = kind == "features"
     lines, plain, heads, tails, sizes = _scan(path, bag)
     odd = np.flatnonzero(~plain)
@@ -351,7 +356,11 @@ def _parse(kind: str, path: str, num_nodes: int = 0) -> tuple:
         odd_weights += weights
     sizes = _merge(plain, sizes, odd_sizes)
     plain_tok = np.repeat(plain, sizes)
-    weights = _merge(plain_tok, np.ones(len(tails)), np.array(odd_weights)) if bag else None
+    weights = None
+    if bag:
+        # one weight per token of every line, plain or not
+        weights = (unit_values(len(plain_tok)) if all(w == 1.0 for w in odd_weights) else
+                   _merge(plain_tok, np.ones(len(tails)), np.array(odd_weights)))
     return (lines, _merge(plain, heads, odd_heads), sizes,
             _merge(plain, np.zeros(len(heads), dtype=bool), odd_bad),
             _merge(plain_tok, tails, np.array(odd_tails, dtype=np.int64)), weights)
@@ -371,9 +380,11 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Each line's ids are sorted in place, the lines of one size as (lines,
     size) blocks (`size_groups`, `_bag_blocks`). An id repeated on a line
     sorts next to its twin under any sort, which is how such a line is found
-    and rejected. Lines out of node order are then moved whole.
+    and rejected. Lines out of node order are then moved whole. Weights that
+    are `unit_values` stay so, and are neither sorted nor moved.
     """
     lines, nodes, sizes, bad, fids, weights = _parse("features", path)
+    unit = is_unit(weights)
     # the lines' offsets into the flat arrays, which are the bags' offsets
     # when the lines are in node order
     offsets = np.zeros(len(lines) + 1, dtype=np.int64)
@@ -385,7 +396,9 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             pos = offsets[block, None] + np.arange(size)
             pos_sorted = np.take_along_axis(pos, np.argsort(fids[pos], axis=1), axis=1)
             block_ids = fids[pos_sorted]
-            fids[pos], weights[pos] = block_ids, weights[pos_sorted]
+            fids[pos] = block_ids
+            if not unit:
+                weights[pos] = weights[pos_sorted]
             bad[block[(block_ids[:, 1:] == block_ids[:, :-1]).any(axis=1)]] = True
     _raise_first_fault("features", path, lines, bad, nodes=nodes)
 
@@ -403,7 +416,9 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.cumsum(sizes[line_of], out=bag_offsets[1:])
         src = np.repeat(offsets[line_of] - bag_offsets[:-1], sizes[line_of])
         src += np.arange(len(fids))
-        fids, weights, offsets = fids[src], weights[src], bag_offsets
+        fids, offsets = fids[src], bag_offsets
+        if not unit:
+            weights = weights[src]
     return offsets, fids, weights
 
 
@@ -544,15 +559,17 @@ def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
     `argsort(axis=1)` per block of same-size bags (`size_groups`, whose
     groups `_bag_blocks` cuts to the (bags, max(|S|, n_f)) arrays that fit
     `SETUP_CHUNK_BYTES`), which equals a sort by (node, key) over all slots.
-    A sample too large to allocate raises DataError.
+    A sample too large to allocate raises DataError. Bags whose weights are
+    `unit_values` give `unit_values` sample weights, and no weight is gathered.
     """
     if n_f < 1:
         raise ValueError(f"n_f must be >= 1, got {n_f}")
+    unit = is_unit(ds.bag_weights)
     # the outputs are allocated before the temporaries: a long-lived block
     # allocated after them would pin the freed memory above it in the heap
     try:
         ids = np.empty((ds.num_nodes, n_f), dtype=np.int64)
-        weights = np.empty((ds.num_nodes, n_f))
+        weights = unit_values((ds.num_nodes, n_f)) if unit else np.empty((ds.num_nodes, n_f))
     except (MemoryError, ValueError):
         # MemoryError: the allocation failed; ValueError: its byte count overflows
         raise DataError(f"cannot allocate the feature sample: n_f is {n_f} for "
@@ -571,7 +588,8 @@ def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
                     [pick, start + (fill_key % np.uint64(size)).astype(np.int64)], axis=1
                 )
             ids[nodes] = ds.bag_ids[pick]
-            weights[nodes] = ds.bag_weights[pick]
+            if not unit:
+                weights[nodes] = ds.bag_weights[pick]
     return FeatureSample(ids=ids, weights=weights)
 
 
@@ -628,7 +646,7 @@ def generate_synthetic(
         edges=edges,
         bag_offsets=offsets,
         bag_ids=bag_ids,
-        bag_weights=np.ones(len(bag_ids)),
+        bag_weights=unit_values(len(bag_ids)),
         labels=labels,
         diagnostics={"kind": kind, "seed": seed},
     )

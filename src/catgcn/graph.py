@@ -12,14 +12,15 @@ class CsrMatrix:
     """CSR matrix in canonical form: per row, column indices strictly ascending, no duplicates.
 
     Built matrices have num_rows * num_cols < 2**63, so every entry's
-    row-major position `row * num_cols + col` fits int64 (`_csr_from_coo`).
+    row-major position `row * num_cols + col` fits int64 (`build_adjacency`).
     """
 
     num_rows: int
     num_cols: int
     row_offsets: np.ndarray  # int64, length num_rows + 1, non-decreasing
     col_indices: np.ndarray  # int64, length nnz
-    values: np.ndarray  # float64, length nnz
+    # float64, length nnz; a binary adjacency's are `unit_values`, read-only
+    values: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -32,28 +33,24 @@ class CsrMatrix:
         return out
 
 
+def unit_values(shape) -> np.ndarray:
+    """float64 ones of `shape` stored once: a read-only view of one 1.0 through zero strides.
+
+    Unweighted feature bags, their samples and binary adjacency values are
+    kept this way: they read as ones of their shape and hold 8 bytes.
+    """
+    return np.broadcast_to(np.float64(1.0), shape)
+
+
+def is_unit(values: np.ndarray) -> bool:
+    """Whether `values` is stored as `unit_values` stores it, so reading it
+    needs no gather: the result would be ones again."""
+    return (values.dtype == np.float64 and not any(values.strides)
+            and (values.size == 0 or values.flat[0] == 1.0))
+
+
 def _expand_rows(row_offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(row_offsets) - 1, dtype=np.int64), np.diff(row_offsets))
-
-
-def _csr_from_coo(rows, cols, vals, num_rows: int, num_cols: int) -> CsrMatrix:
-    """Build canonical CSR from COO triplets. Duplicates must have been removed by the caller.
-
-    Entries are ordered by one int64 key, their row-major position
-    `row * num_cols + col`. Without duplicates the keys are distinct, so the
-    argsort has one answer: the (row, col) lexicographic order. Raises
-    ValueError when num_rows * num_cols reaches 2**63, where a key could
-    overflow.
-    """
-    if num_rows * num_cols >= 1 << 63:
-        raise ValueError(f"a {num_rows}x{num_cols} CSR matrix has 2**63 positions or more")
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    order = np.argsort(rows * num_cols + cols)
-    offsets = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_rows), out=offsets[1:])
-    return CsrMatrix(num_rows, num_cols, offsets, cols[order], vals[order])
 
 
 def size_groups(sizes: np.ndarray) -> list:
@@ -65,6 +62,12 @@ def size_groups(sizes: np.ndarray) -> list:
     """
     by_size = np.argsort(sizes, kind="stable")
     return np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1) if len(sizes) else []
+
+
+def _is_canonical(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the pairs (u[i], v[i]) have u < v and strictly ascending (u, v) order."""
+    return bool((u < v).all()
+                and ((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (v[1:] > v[:-1])).all())
 
 
 def canonical_edges(u, v) -> tuple[np.ndarray, int, int]:
@@ -83,7 +86,7 @@ def canonical_edges(u, v) -> tuple[np.ndarray, int, int]:
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     n_raw = len(u)
-    if (u < v).all() and ((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (v[1:] > v[:-1])).all():
+    if _is_canonical(u, v):
         return np.column_stack([u, v]), 0, 0
     keep = u != v
     u, v = u[keep], v[keep]
@@ -108,17 +111,48 @@ def build_adjacency(edges, num_nodes: int) -> CsrMatrix:
     """Canonical symmetric binary adjacency from an undirected edge list.
 
     Self loops are dropped, duplicates (in either order) collapse to one
-    undirected edge (`canonical_edges`), and both (i,j) and (j,i) are stored.
+    undirected edge (`canonical_edges`, which edges already canonical skip),
+    and both (i,j) and (j,i) are stored, with `unit_values` as values. Raises
+    ValueError when num_nodes**2 reaches 2**63, where a row-major position
+    `row * num_nodes + col` could overflow int64.
+
+    Each column goes straight into its CSR slot. Row i holds its entries
+    below the diagonal, the edges (j, i), then those above it, the edges
+    (i, j), so each row's slots split in two by a count per row. The upper
+    entries are the canonical edges in their own order; the lower ones are
+    the edges in (v, u) order, from one argsort of their distinct keys
+    `v * num_nodes + u`.
     """
-    if num_nodes < 1:
-        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
+    n = num_nodes
+    if n < 1:
+        raise ValueError(f"num_nodes must be >= 1, got {n}")
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if e.size and (e.min() < 0 or e.max() >= num_nodes):
-        bad = e[(e < 0).any(axis=1) | (e >= num_nodes).any(axis=1)][0]
-        raise ValueError(f"edge ({bad[0]}, {bad[1]}) references a node outside [0, {num_nodes})")
-    e = canonical_edges(e[:, 0], e[:, 1])[0]
-    both = np.concatenate([e, e[:, ::-1]])
-    return _csr_from_coo(both[:, 0], both[:, 1], np.ones(len(both)), num_nodes, num_nodes)
+    if e.size and (e.min() < 0 or e.max() >= n):
+        bad = e[(e < 0).any(axis=1) | (e >= n).any(axis=1)][0]
+        raise ValueError(f"edge ({bad[0]}, {bad[1]}) references a node outside [0, {n})")
+    if n * n >= 1 << 63:
+        raise ValueError(f"a {n}x{n} CSR matrix has 2**63 positions or more")
+    if not _is_canonical(e[:, 0], e[:, 1]):
+        e = canonical_edges(e[:, 0], e[:, 1])[0]
+    u, v = e[:, 0], e[:, 1]
+    # the outputs are allocated before the temporaries: a long-lived block
+    # allocated after them would pin the freed memory above it in the heap
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    cols = np.empty(2 * len(e), dtype=np.int64)
+    counts = np.empty((n, 2), dtype=np.int64)  # per row: entries below, above the diagonal
+    counts[:, 0], counts[:, 1] = np.bincount(v, minlength=n), np.bincount(u, minlength=n)
+    np.cumsum(counts.sum(axis=1), out=offsets[1:])
+    key = v * n
+    key += u
+    order = np.argsort(key)
+    del key
+    below = np.repeat(np.tile([True, False], n), counts.ravel())
+    del counts
+    cols[below] = u[order]
+    del order
+    np.logical_not(below, out=below)
+    cols[below] = v
+    return CsrMatrix(n, n, offsets, cols, unit_values(len(cols)))
 
 
 def normalize_sym(adj: CsrMatrix) -> tuple[CsrMatrix, np.ndarray]:
@@ -132,25 +166,48 @@ def normalize_sym(adj: CsrMatrix) -> tuple[CsrMatrix, np.ndarray]:
         raise ValueError("adjacency must be square")
     if n * n >= 1 << 63:
         raise ValueError(f"a {n}x{n} CSR matrix has 2**63 positions or more")
-    rows, cols = _expand_rows(adj.row_offsets), adj.col_indices
+    cols = adj.col_indices
+    # the outputs first, as in `build_adjacency`
+    offsets = adj.row_offsets + np.arange(n + 1, dtype=np.int64)
+    degrees = np.diff(adj.row_offsets).astype(np.float64)
+    degrees += 1.0
+    cols_aug = np.empty(len(cols) + n, dtype=np.int64)
+    vals = np.empty(len(cols) + n)
+    rows = _expand_rows(adj.row_offsets)
     if np.any(rows == cols):
         raise ValueError("adjacency must have a zero diagonal before self loops are added")
-    # the transpose's entries in row-major order are the entries sorted by (col, row);
-    # the matrix is symmetric when they are its own entries, in its own order
-    order = np.argsort(cols * n + rows)
-    if not (np.array_equal(cols[order], rows) and np.array_equal(rows[order], cols)
-            and np.array_equal(adj.values[order], adj.values)):
+    below = np.bincount(rows[cols < rows], minlength=n)
+    # the matrix is symmetric when its transpose's row-major positions `col * n
+    # + row`, sorted, are its own positions, and its values in that order are
+    # its own values, as `unit_values` are whatever the order
+    key = cols * n
+    key += rows
+    rows *= n
+    rows += cols  # its own positions, ascending in canonical form
+    if is_unit(adj.values):
+        key.sort()
+        symmetric = np.array_equal(key, rows)
+    else:
+        order = np.argsort(key)
+        symmetric = (np.array_equal(key[order], rows)
+                     and np.array_equal(adj.values[order], adj.values))
+        del order
+    del key, rows
+    if not symmetric:
         raise ValueError("adjacency must be symmetric")
-    del order
 
     # the input is canonical, so each row's self loop goes in at its sorted
     # slot, after the row's columns below the diagonal, and nothing is sorted again
-    diag = adj.row_offsets[:-1] + np.bincount(rows[cols < rows], minlength=n)
-    cols_aug = np.insert(cols, diag, np.arange(n, dtype=np.int64))
-    offsets = adj.row_offsets + np.arange(n + 1, dtype=np.int64)
-    degrees = np.diff(adj.row_offsets).astype(np.float64) + 1.0
+    loop = np.zeros(len(cols_aug), dtype=bool)
+    loop[offsets[:-1] + below] = True
+    cols_aug[loop] = np.arange(n, dtype=np.int64)
+    np.logical_not(loop, out=loop)
+    cols_aug[loop] = cols
+    del loop
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    vals = inv_sqrt[_expand_rows(offsets)] * inv_sqrt[cols_aug]
+    # "clip" takes straight into `out`, which "raise" would buffer; no column is out of range
+    np.take(inv_sqrt, cols_aug, out=vals, mode="clip")
+    vals *= np.repeat(inv_sqrt, np.diff(offsets))
     return CsrMatrix(n, n, offsets, cols_aug, vals), degrees
 
 

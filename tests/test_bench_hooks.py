@@ -76,7 +76,10 @@ def test_traced_eval_counts_every_node_block_once(tmp_path):
 def test_traced_eval_over_several_setup_windows_records_one_span_each(tmp_path):
     # large enough that the loader parses the features file in several windows
     # and the sampler sorts its bags in several blocks; each runs its loop
-    # inside one call, so the per-layer times still come from one span each
+    # inside one call, so the per-layer times still come from one span each.
+    # So do the adjacency build and its normalization, and A_hat holds both
+    # directions of every edge of the file (synth writes each once) and a self
+    # loop per node
     nodes, n_f = 40_000, 10
     assert nodes * n_f * 8 > 2 * SETUP_CHUNK_BYTES
     data = tmp_path / "ds"
@@ -91,6 +94,9 @@ def test_traced_eval_over_several_setup_windows_records_one_span_each(tmp_path):
                       *args)
     names = [span[0] for span in evaluate["spans"]]
     assert names.count("data.load_dataset") == names.count("data.sample_features") == 1
+    assert names.count("graph.build_adjacency") == names.count("graph.normalize_sym") == 1
+    edges = len((data / "edges.tsv").read_text().splitlines())
+    assert evaluate["counts"]["graph.a_hat_nnz"] == 2 * edges + nodes
 
 
 def test_traced_train_in_node_blocks_keeps_the_hooked_counts(tmp_path):

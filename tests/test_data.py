@@ -1,5 +1,6 @@
 """Dataset loading, validation, splits, feature sampling, synthetic generation."""
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import loader_oracle
+import sort_oracle
 from catgcn.data import (
     SETUP_CHUNK_BYTES,
     DataError,
@@ -20,6 +23,8 @@ from catgcn.data import (
     split_sizes,
     write_dataset,
 )
+from catgcn.graph import build_adjacency, normalize_sym
+from catgcn.training import TrainConfig, train
 
 
 def write_files(tmp_path, edges, features, labels):
@@ -195,9 +200,14 @@ def test_loaded_dataset_holds_little_beyond_its_arrays(tmp_path):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    arrays = (loaded.edges, loaded.bag_offsets, loaded.bag_ids, loaded.bag_weights,
-              loaded.labels)
-    assert kept <= 1.5 * sum(a.nbytes for a in arrays)
+    assert kept <= 1.5 * owned_bytes(loaded.edges, loaded.bag_offsets, loaded.bag_ids,
+                                     loaded.bag_weights, loaded.labels)
+
+
+def owned_bytes(*arrays) -> int:
+    """The bytes the arrays store: a zero-stride view's `nbytes` counts every
+    value it reads, though it stores one, so it counts 0 here."""
+    return sum(a.nbytes for a in arrays if any(a.strides))
 
 
 @pytest.fixture(scope="module")
@@ -212,9 +222,10 @@ def windowed_files(tmp_path_factory):
 
 
 def test_load_peak_memory_is_a_small_multiple_of_the_files(windowed_files):
-    # parsing in windows and sorting the bags in blocks peaks at 5.3 times the
-    # files' size; parsing and sorting each file whole peaked at 8.8 times, and
-    # Python token strings at 18.5 times (at 4k bags)
+    # parsing in windows and sorting the bags in blocks peaks at 4.9 times the
+    # files' size (5.3 times while the unit weights were stored as ones);
+    # parsing and sorting each file whole peaked at 8.8 times, and Python
+    # token strings at 18.5 times (at 4k bags)
     load_dataset(*windowed_files)  # first call: module-level caches fill outside the count
     tracemalloc.start()
     try:
@@ -222,12 +233,13 @@ def test_load_peak_memory_is_a_small_multiple_of_the_files(windowed_files):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * sum(os.path.getsize(p) for p in windowed_files)
+    assert peak <= 5.5 * sum(os.path.getsize(p) for p in windowed_files)
 
 
 def test_sample_peak_memory_is_a_small_multiple_of_its_outputs(windowed_files):
-    # sorting the sample keys in blocks peaks at 1.95 times the sample's two
-    # arrays; one sort per size group peaked at 2.7 times
+    # with unit weights the sample stores its ids only; sorting the sample
+    # keys in blocks peaks at 2.9 times their bytes. Gathering the weights as
+    # well peaked at 3.9 times, and one sort per size group at 5.4 times
     ds = load_dataset(*windowed_files)
     sample_features(ds, 10, seed=3)  # first call: module-level caches fill outside the count
     tracemalloc.start()
@@ -237,7 +249,99 @@ def test_sample_peak_memory_is_a_small_multiple_of_its_outputs(windowed_files):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * (sample.ids.nbytes + sample.weights.nbytes)
+    assert peak <= 3.2 * owned_bytes(sample.ids, sample.weights)
+
+
+def test_adjacency_peak_memory_is_a_small_multiple_of_its_outputs(windowed_files):
+    # 40k nodes and 52k edges. Writing each column into its slot peaks at 2.5
+    # times the adjacency's bytes; sorting both directions of every edge
+    # together, with its values stored as ones, peaked at 3.1 times. The
+    # normalization allocates its outputs first and peaks at 1.7 times them;
+    # checking symmetry with an argsort and two gathers peaked at 1.9 times
+    ds = load_dataset(*windowed_files)
+    adj = build_adjacency(ds.edges, ds.num_nodes)  # first call: caches fill outside the count
+    normalize_sym(adj)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        adj = build_adjacency(ds.edges, ds.num_nodes)
+        adj_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        norm, degrees = normalize_sym(adj)
+        norm_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert adj_peak <= 2.7 * owned_bytes(adj.row_offsets, adj.col_indices, adj.values)
+    assert norm_peak <= 1.8 * owned_bytes(norm.row_offsets, norm.col_indices, norm.values,
+                                          degrees)
+
+
+# --- unit weights --------------------------------------------------------------
+
+def assert_unit(weights, shape):
+    """`weights` is float64 ones of `shape` stored once: read-only, zero strides."""
+    assert weights.dtype == np.float64 and weights.shape == shape
+    assert not any(weights.strides) and not weights.flags.writeable
+    assert np.array_equal(weights, np.ones(shape))
+
+
+def bag_lines(spell, n=30):
+    """Feature lines of n nodes, in reverse node order, with 1 to 7 ids
+    each spelled by `spell`, ids out of order within a line."""
+    return [f"{u}\t" + " ".join(spell(f) for f in range(3 * u + u % 7, 3 * u - 1, -1)) + "\n"
+            for u in reversed(range(n))]
+
+
+def load_lines(tmp_path, lines):
+    labels = "".join(f"{u}\t{u % 3}\n" for u in range(len(lines)))
+    paths = write_files(tmp_path, "0\t1\n1\t2\n", "".join(lines), labels)
+    return load_dataset(*paths), loader_oracle.load_dataset(*paths)
+
+
+@pytest.mark.parametrize("spell", [str, "{}:1.0".format, lambda f: f"{f}:1e0" if f % 2 else str(f)],
+                         ids=["plain", "explicit-1.0", "mixed"])
+def test_unit_weights_are_stored_once(tmp_path, setup_budget, spell):
+    ds, want = load_lines(tmp_path, bag_lines(spell))
+    assert_unit(ds.bag_weights, want.bag_weights.shape)
+    assert np.array_equal(ds.bag_ids, want.bag_ids)
+    for n_f in (3, 8):
+        sample = sample_features(ds, n_f, seed=5)
+        assert_unit(sample.weights, (ds.num_nodes, n_f))
+        # the materialized ones sample the same
+        want_ids, want_weights = sort_oracle.sample_features(want, n_f, seed=5)
+        assert np.array_equal(sample.ids, want_ids)
+        assert np.array_equal(sample.weights, want_weights)
+
+
+def test_one_other_weight_keeps_writable_weights(tmp_path, setup_budget):
+    lines = bag_lines(str)
+    lines[4] = lines[4].replace(" ", ":2.5 ", 1)
+    ds, want = load_lines(tmp_path, lines)
+    assert any(ds.bag_weights.strides) and ds.bag_weights.flags.writeable
+    assert (ds.bag_weights == 2.5).sum() == 1
+    assert np.array_equal(ds.bag_weights, want.bag_weights)
+    sample = sample_features(ds, 8, seed=5)
+    assert any(sample.weights.strides) and sample.weights.flags.writeable
+    for got, w in zip((sample.ids, sample.weights), sort_oracle.sample_features(want, 8, 5)):
+        assert np.array_equal(got, w)
+
+
+def test_unit_and_materialized_weights_write_and_train_alike(tmp_path):
+    ds = generate_synthetic("homophily", 60, 30, 3, 6, 0.1, 0.02, seed=2)
+    assert_unit(ds.bag_weights, ds.bag_ids.shape)
+    ones = dataclasses.replace(ds, bag_weights=np.ones(len(ds.bag_ids)))
+    written = [write_dataset(d, str(tmp_path / name)) for d, name in ((ds, "unit"), (ones, "ones"))]
+    for kind in ("edges", "features", "labels"):
+        assert open(written[0][kind], "rb").read() == open(written[1][kind], "rb").read()
+    loaded = load_dataset(written[0]["edges"], written[0]["features"], written[0]["labels"])
+    assert_unit(loaded.bag_weights, ds.bag_ids.shape)
+    config = TrainConfig(n_f=4, d_emb=4, d_hidden=4, max_epochs=3, patience=3,
+                         resample_per_epoch=True, seed=1)
+    a, b = train(config, ds), train(config, ones)
+    assert [r.train_loss for r in a.records] == [r.train_loss for r in b.records]
+    for name, t in a.params.named_tensors().items():
+        assert t.data.tobytes() == b.params.named_tensors()[name].data.tobytes()
 
 
 def test_fingerprint_tracks_content(tmp_path):

@@ -298,8 +298,19 @@ def faulty_files(draw):
     for _ in range(draw(st.integers(1, 3))):
         which = draw(st.integers(0, 2))
         lines = files[which]
-        kind = draw(st.sampled_from(["replace", "insert", "cr", "duplicate", "delete"]))
-        if kind == "replace" or kind == "insert" or not lines:
+        kind = draw(st.sampled_from(["replace", "insert", "cr", "duplicate", "delete",
+                                     "repeat"]))
+        if kind == "repeat" and files[1]:
+            # a feature line becomes a plain one of its node that repeats an id:
+            # only the bulk check finds that in a plain line, and the pool's two
+            # such lines alone were rarely a file's first fault
+            at = draw(st.integers(0, len(files[1]) - 1))
+            own = files[1][at].split("\t")[0].strip().lstrip("+")
+            u = int(own) if own.isdecimal() else draw(st.integers(0, n - 1))
+            ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4))
+            ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
+            files[1][at] = f"{u}\t" + " ".join(map(str, ids))
+        elif kind in ("replace", "insert", "repeat") or not lines:
             at = draw(st.integers(0, len(lines)))
             replace = kind == "replace" and at < len(lines)
             # a replaced line keeps its node id, so its own fault shows, not a duplicate

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catgcn.graph
-from catgcn.graph import CsrMatrix, build_adjacency, normalize_sym, propagate, spmm
+from catgcn.graph import (CsrMatrix, build_adjacency, normalize_sym, propagate, spmm,
+                          unit_values)
 
 
 def dense_norm(edges, n):
@@ -61,7 +62,7 @@ def test_normalize_isolated_node_keeps_self_loop():
 
 
 def csr(num_rows, num_cols, row_offsets, col_indices, values=None):
-    values = np.ones(len(col_indices)) if values is None else np.array(values, dtype=np.float64)
+    values = np.ones(len(col_indices)) if values is None else np.asarray(values, dtype=np.float64)
     return CsrMatrix(num_rows, num_cols, np.array(row_offsets, dtype=np.int64),
                      np.array(col_indices, dtype=np.int64), values)
 
@@ -76,8 +77,11 @@ def csr(num_rows, num_cols, row_offsets, col_indices, values=None):
     (csr(2, 2, [0, 1, 2], [1, 0], [1.0, 2.0]), "adjacency must be symmetric"),
     # the 3-cycle 0->1->2->0: every degree is 1, yet no edge has its reverse
     (csr(3, 3, [0, 1, 2, 3], [1, 2, 0]), "adjacency must be symmetric"),
+    # unit values need no value check, but the pattern is still checked
+    (csr(3, 3, [0, 1, 2, 2], [1, 2], unit_values(2)), "adjacency must be symmetric"),
+    (csr(3, 3, [0, 1, 2, 3], [1, 2, 0], unit_values(3)), "adjacency must be symmetric"),
 ], ids=["not-square", "past-int64-keys", "diagonal", "not-symmetric", "unequal-values",
-        "directed-cycle"])
+        "directed-cycle", "not-symmetric-unit", "directed-cycle-unit"])
 def test_normalize_rejects_what_is_not_a_simple_undirected_graph(adj, message):
     with pytest.raises(ValueError, match=message):
         normalize_sym(adj)

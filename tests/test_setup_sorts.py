@@ -1,8 +1,8 @@
 """The set-up path's sorts against the multi-key lexsorts they replaced.
 
-`sort_oracle` keeps each replaced `np.lexsort` verbatim. Canonical edges, CSR
-builds, feature samples and loaded bags must equal its
-outputs exactly, on ids across the whole int64 range, on mixed bag sizes and
+`sort_oracle` keeps each replaced `np.lexsort` verbatim. Canonical edges, the
+adjacency and its normalization, feature samples and loaded bags must equal
+its outputs exactly, on ids across the whole int64 range, on mixed bag sizes and
 on features files whose lines are out of node order. A last test runs the
 set-up path with `np.lexsort` disabled.
 """
@@ -12,10 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import catgcn.graph
 import sort_oracle
 from catgcn.data import generate_synthetic, load_dataset, sample_features, write_dataset
-from catgcn.graph import (_csr_from_coo, _expand_rows, build_adjacency, canonical_edges,
-                          normalize_sym)
+from catgcn.graph import _expand_rows, build_adjacency, canonical_edges, is_unit, normalize_sym
 from catgcn.training import TrainConfig, run_inputs
 from test_data_properties import make_dataset
 
@@ -72,59 +72,75 @@ def refuse_sort(*args, **kwargs):
 
 
 @st.composite
-def coo(draw, max_rows=12, max_cols=12):
-    """Distinct (row, col) entries in drawn order, with distinct values."""
-    num_rows = draw(st.integers(1, max_rows))
-    num_cols = draw(st.integers(1, max_cols))
-    cells = draw(st.lists(st.tuples(st.integers(0, num_rows - 1),
-                                    st.integers(0, num_cols - 1)), unique=True, max_size=60))
-    rows = np.array([r for r, _ in cells], dtype=np.int64)
-    cols = np.array([c for _, c in cells], dtype=np.int64)
-    return rows, cols, np.arange(len(cells)) + 0.5, num_rows, num_cols
+def edge_lists(draw):
+    """(edges, num_nodes): edges among a drawn subset of the nodes, so others
+    stay isolated, with self loops, pairs repeated in both orders and
+    sometimes a hub linked to every other linked node; sometimes empty, with
+    one node, or already canonical."""
+    n = draw(st.integers(1, 30))
+    linked = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    pairs = []
+    if linked:
+        pairs = draw(st.lists(st.tuples(st.sampled_from(linked), st.sampled_from(linked)),
+                              max_size=4 * n))
+        if draw(st.booleans()):
+            hub = draw(st.sampled_from(linked))
+            pairs += [(hub, w) if draw(st.booleans()) else (w, hub) for w in linked]
+        if pairs:
+            repeats = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+            pairs += [p[::-1] if draw(st.booleans()) else p for p in repeats]
+        pairs = draw(st.permutations(pairs))
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if draw(st.booleans()):
+        edges = sort_oracle.canonical_edges(edges)[0]
+    return edges, n
+
+
+def assert_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @SETTINGS
-@given(entries=coo())
-def test_csr_from_coo_matches_lexsort(entries):
-    rows, cols, vals, num_rows, num_cols = entries
-    m = _csr_from_coo(rows, cols, vals, num_rows, num_cols)
-    offsets, want_cols, want_vals = sort_oracle.csr_from_coo(rows, cols, vals, num_rows)
-    for got, want in ((m.row_offsets, offsets), (m.col_indices, want_cols),
-                      (m.values, want_vals)):
-        assert_same(got, want)
+@given(drawn=edge_lists())
+def test_build_adjacency_matches_lexsort_over_both_directions(drawn, monkeypatch):
+    edges, n = drawn
+    canon = sort_oracle.canonical_edges(edges)[0]
+    rows = np.concatenate([canon[:, 0], canon[:, 1]])
+    cols = np.concatenate([canon[:, 1], canon[:, 0]])
+    want = sort_oracle.csr_from_coo(rows, cols, np.ones(len(rows)), n)
+    with monkeypatch.context() as patch:
+        if np.array_equal(edges, canon):
+            # canonical edges are read as they are, not canonicalized into a copy
+            patch.setattr(catgcn.graph, "canonical_edges", refuse_canonicalizing)
+        adj = build_adjacency(edges, n)
+    assert (adj.num_rows, adj.num_cols) == (n, n)
+    for got, w in zip((adj.row_offsets, adj.col_indices, adj.values), want):
+        assert_bytes(got, w)
+    assert is_unit(adj.values) and not adj.values.flags.writeable
 
 
-@SETTINGS
-@given(entries=coo(max_cols=1), wide=st.integers(0, 3))
-def test_csr_from_coo_is_exact_up_to_its_shape_bound(entries, wide):
-    # columns up to (2**63 - 1) // num_rows: the largest key is 2**63 - 2 or just below
-    rows, cols, vals, num_rows, _ = entries
-    num_cols = (2**63 - 1) // num_rows
-    cols = cols + (num_cols - 1 - wide)
-    m = _csr_from_coo(rows, cols, vals, num_rows, num_cols)
-    offsets, want_cols, want_vals = sort_oracle.csr_from_coo(rows, cols, vals, num_rows)
-    for got, want in ((m.row_offsets, offsets), (m.col_indices, want_cols),
-                      (m.values, want_vals)):
-        assert_same(got, want)
+def refuse_canonicalizing(*args, **kwargs):
+    raise AssertionError("canonical edges canonicalized again")
 
 
-def test_csr_from_coo_refuses_shapes_past_int64_keys():
-    m = _csr_from_coo([1, 0], [2**62 - 2, 3], [1.0, 2.0], 2, 2**62 - 1)  # 2**63 - 2 positions
-    assert m.col_indices.tolist() == [3, 2**62 - 2]
-    for num_rows, num_cols in ((2, 2**62), (1, 2**63), (3, 2**62)):
-        with pytest.raises(ValueError, match="has 2\\*\\*63 positions or more"):
-            _csr_from_coo([0], [0], [1.0], num_rows, num_cols)
+def test_build_adjacency_refuses_node_counts_past_int64_keys():
+    # 3037000499**2 < 2**63 <= 3037000500**2; the refusal comes before any
+    # array of num_nodes entries is allocated, which at these counts could not be
+    for n in (3037000500, 2**32, 2**62):
+        with pytest.raises(ValueError, match=f"^a {n}x{n} CSR matrix has 2\\*\\*63 positions"):
+            build_adjacency(np.array([[0, 1], [1, 2]]), n)
 
 
 def normalize_by_sorting(adj):
-    """`normalize_sym`'s matrix as it was built before the self loops were
-    inserted in place: every entry and self loop sorted again by `_csr_from_coo`."""
+    """`normalize_sym`'s (row offsets, column indices, values) as a sort builds
+    them: every entry and self loop ordered by the oracle's (row, col) lexsort."""
     n = adj.num_rows
     loops = np.arange(n, dtype=np.int64)
     rows = np.concatenate([_expand_rows(adj.row_offsets), loops])
     cols = np.concatenate([adj.col_indices, loops])
     inv_sqrt = 1.0 / np.sqrt(np.diff(adj.row_offsets).astype(np.float64) + 1.0)
-    return _csr_from_coo(rows, cols, inv_sqrt[rows] * inv_sqrt[cols], n, n)
+    return sort_oracle.csr_from_coo(rows, cols, inv_sqrt[rows] * inv_sqrt[cols], n)
 
 
 @SETTINGS
@@ -137,10 +153,8 @@ def test_normalize_sym_inserts_self_loops_as_the_sorted_build_does(n, data):
                                max_size=4 * n)) if linked else []
     adj = build_adjacency(np.array(pairs, dtype=np.int64).reshape(-1, 2), n)
     got, degrees = normalize_sym(adj)
-    want = normalize_by_sorting(adj)
-    for a, b in ((got.row_offsets, want.row_offsets), (got.col_indices, want.col_indices),
-                 (got.values, want.values)):
-        assert_same(a, b)
+    for a, b in zip((got.row_offsets, got.col_indices, got.values), normalize_by_sorting(adj)):
+        assert_bytes(a, b)
     assert_same(degrees, np.diff(adj.row_offsets).astype(np.float64) + 1.0)
 
 

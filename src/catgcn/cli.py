@@ -168,6 +168,10 @@ def _read_manifest(path: str) -> tuple[TrainConfig, dict]:
 def cmd_train(args) -> int:
     want_fingerprint = None
     if args.replay:
+        dropped = [k for k in (*_CONFIG_FIELDS, "config") if getattr(args, k) is not None]
+        if dropped:
+            raise ValueError(f"{_flags(dropped, 'is', 'are')} not taken with --replay, "
+                             "which runs the manifest's config")
         config, paths = _read_manifest(args.replay)
         edges = args.edges or paths["edges"]
         features = args.features or paths["features"]

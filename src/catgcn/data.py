@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import canonical_edges, is_unit, size_groups, unit_values
+from .graph import canonical_edges, is_unit, unit_values
 from .rng import SAMPLE, SPLIT, SYNTH, counter_keys, stream_rng
 
 
@@ -198,11 +198,16 @@ _TAB, _LF, _CR, _SPACE, _HASH = 9, 10, 13, 32, 35
 SETUP_CHUNK_BYTES = 1 << 20
 
 
-def _bag_blocks(group: np.ndarray, width: int) -> list:
-    """`group`'s bags in blocks whose int64 (bags, width) arrays stay within
-    `SETUP_CHUNK_BYTES`, each at least one bag."""
-    step = max(1, SETUP_CHUNK_BYTES // (8 * max(width, 1)))
-    return [group[i:i + step] for i in range(0, len(group), step)]
+def _bag_blocks(sizes: np.ndarray, min_width: int):
+    """(size, bags) of each block of bags of one size, ascending, whose int64
+    (bags, max(size, min_width)) arrays stay within `SETUP_CHUNK_BYTES`, each
+    block at least one bag: one sort along axis 1 sorts every bag of a block."""
+    by_size = np.argsort(sizes, kind="stable")
+    for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        size = int(sizes[group[0]]) if len(group) else 0
+        step = max(1, SETUP_CHUNK_BYTES // (8 * max(size, min_width)))
+        for i in range(0, len(group), step):
+            yield size, group[i:i + step]
 
 
 def _scan(path: str, bag: bool) -> tuple:
@@ -378,7 +383,7 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(bag offsets, feature ids, weights) of a features file, bags in node order.
 
     Each line's ids are sorted in place, the lines of one size as (lines,
-    size) blocks (`size_groups`, `_bag_blocks`). An id repeated on a line
+    size) blocks (`_bag_blocks`). An id repeated on a line
     sorts next to its twin under any sort, which is how such a line is found
     and rejected. Lines out of node order are then moved whole. Weights that
     are `unit_values` stay so, and are neither sorted nor moved.
@@ -390,16 +395,14 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     offsets = np.zeros(len(lines) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     bad |= _repeats(nodes) | (sizes == 0)
-    for group in size_groups(sizes):
-        size = int(sizes[group[0]])
-        for block in _bag_blocks(group, size):
-            pos = offsets[block, None] + np.arange(size)
-            pos_sorted = np.take_along_axis(pos, np.argsort(fids[pos], axis=1), axis=1)
-            block_ids = fids[pos_sorted]
-            fids[pos] = block_ids
-            if not unit:
-                weights[pos] = weights[pos_sorted]
-            bad[block[(block_ids[:, 1:] == block_ids[:, :-1]).any(axis=1)]] = True
+    for size, block in _bag_blocks(sizes, 1):
+        pos = offsets[block, None] + np.arange(size)
+        pos_sorted = np.take_along_axis(pos, np.argsort(fids[pos], axis=1), axis=1)
+        block_ids = fids[pos_sorted]
+        fids[pos] = block_ids
+        if not unit:
+            weights[pos] = weights[pos_sorted]
+        bad[block[(block_ids[:, 1:] == block_ids[:, :-1]).any(axis=1)]] = True
     _raise_first_fault("features", path, lines, bad, nodes=nodes)
 
     if not lines:
@@ -427,7 +430,7 @@ def _load_edges(path: str, num_nodes: int) -> tuple[np.ndarray, int, int]:
     lines, u, _, bad, v, _ = _parse("edges", path, num_nodes)
     bad |= np.maximum(u, v) >= num_nodes
     _raise_first_fault("edges", path, lines, bad, num_nodes=num_nodes)
-    return canonical_edges(u, v)
+    return canonical_edges(u, v, num_nodes)
 
 
 def _load_labels(path: str, num_nodes: int) -> np.ndarray:
@@ -455,8 +458,8 @@ def load_dataset(edges_path: str, features_path: str, labels_path: str) -> RawDa
     tokens by (node, feature id) would leave them: each line's ids are
     sorted within the line, and lines out of node order are then moved
     whole (`_load_features`); a valid line's ids are distinct, so the order
-    is unique. Edges are ordered by `canonical_edges`, one sort by u and
-    one sort of v within each run of equal u.
+    is unique. Edges are ordered by `canonical_edges`, one sort of the
+    int64 keys `u * num_nodes + v`.
     """
     offsets, fids, weights = _load_features(features_path)
     num_nodes = len(offsets) - 1
@@ -556,9 +559,9 @@ def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
 
     A node's keys are distinct (`counter_keys` is a bijection of the slot),
     so the key order within a bag is unique. It comes from one
-    `argsort(axis=1)` per block of same-size bags (`size_groups`, whose
-    groups `_bag_blocks` cuts to the (bags, max(|S|, n_f)) arrays that fit
-    `SETUP_CHUNK_BYTES`), which equals a sort by (node, key) over all slots.
+    `argsort(axis=1)` per block of same-size bags (`_bag_blocks`, whose
+    (bags, max(|S|, n_f)) arrays fit `SETUP_CHUNK_BYTES`), which equals a
+    sort by (node, key) over all slots.
     A sample too large to allocate raises DataError. Bags whose weights are
     `unit_values` give `unit_values` sample weights, and no weight is gathered.
     """
@@ -575,21 +578,19 @@ def sample_features(ds: RawDataset, n_f: int, seed: int) -> FeatureSample:
         raise DataError(f"cannot allocate the feature sample: n_f is {n_f} for "
                         f"{ds.num_nodes} nodes") from None
     sizes = np.diff(ds.bag_offsets)
-    for group in size_groups(sizes):
-        size = int(sizes[group[0]])
-        for nodes in _bag_blocks(group, max(size, n_f)):
-            node = nodes[:, None]
-            start = ds.bag_offsets[node]
-            keys = counter_keys(seed, SAMPLE, node, np.arange(size))
-            pick = start + np.argsort(keys, axis=1)[:, :n_f]
-            if size < n_f:
-                fill_key = counter_keys(seed, SAMPLE, node, np.arange(size, n_f))
-                pick = np.concatenate(
-                    [pick, start + (fill_key % np.uint64(size)).astype(np.int64)], axis=1
-                )
-            ids[nodes] = ds.bag_ids[pick]
-            if not unit:
-                weights[nodes] = ds.bag_weights[pick]
+    for size, nodes in _bag_blocks(sizes, n_f):
+        node = nodes[:, None]
+        start = ds.bag_offsets[node]
+        keys = counter_keys(seed, SAMPLE, node, np.arange(size))
+        pick = start + np.argsort(keys, axis=1)[:, :n_f]
+        if size < n_f:
+            fill_key = counter_keys(seed, SAMPLE, node, np.arange(size, n_f))
+            pick = np.concatenate(
+                [pick, start + (fill_key % np.uint64(size)).astype(np.int64)], axis=1
+            )
+        ids[nodes] = ds.bag_ids[pick]
+        if not unit:
+            weights[nodes] = ds.bag_weights[pick]
     return FeatureSample(ids=ids, weights=weights)
 
 
@@ -751,4 +752,4 @@ def _sbm_edges(labels, n_classes, p_in, p_out, rng) -> np.ndarray:
                     vs.append(blocks[b][j])
     if not us:
         return np.empty((0, 2), dtype=np.int64)
-    return canonical_edges(np.concatenate(us), np.concatenate(vs))[0]
+    return canonical_edges(np.concatenate(us), np.concatenate(vs), len(labels))[0]

@@ -140,6 +140,35 @@ def test_replay_refuses_changed_dataset(dataset_dir, tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("given, named", [
+    (["--max-epochs", "5", "--learning-rate", "0.5"], "--learning-rate and --max-epochs are"),
+    (["--seed", "0"], "--seed is"),
+    (["--config", "run.cfg"], "--config is"),
+    (["--variant", "meanpool", "--config", "run.cfg"], "--variant and --config are"),
+])
+def test_replay_refuses_config_flags_it_would_drop(small_checkpoint, tmp_path, capsys,
+                                                   given, named):
+    # the manifest's config is the run's: a flag that would be ignored is a usage error,
+    # refused before the manifest or any dataset file is read
+    manifest = small_checkpoint.parent / "manifest.json"
+    code, out, err = run(capsys, "train", "--replay", str(manifest), *given, "--quiet",
+                         "--out-dir", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err == f"error: {named} not taken with --replay, which runs the manifest's config\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_replay_takes_other_dataset_paths(small_checkpoint, tmp_path, capsys):
+    # --edges, --features and --labels point a replay at other files
+    manifest = json.loads((small_checkpoint.parent / "manifest.json").read_text())
+    code, _, _ = run(capsys, "train", "--replay", str(small_checkpoint.parent / "manifest.json"),
+                     "--edges", manifest["dataset"]["edges"], "--quiet",
+                     "--out-dir", str(tmp_path / "out"))
+    assert code == 0
+    assert (tmp_path / "out/epochs.jsonl").read_bytes() == (
+        small_checkpoint.parent / "epochs.jsonl").read_bytes()
+
+
 def test_config_file_and_flag_precedence(dataset_dir, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("max_epochs=3\nd_emb=8\nd_hidden=8\nn_f=6\nseed=2\nalpha=1.0\n")

@@ -126,7 +126,7 @@ def test_canonical_edges_matches_oracle(edges, data):
                                max_size=10)) if edges else []
     again = [(v, u) if flip else (u, v) for (u, v), flip in again]
     raw = np.array(edges + again, dtype=np.int64).reshape(-1, 2)
-    got, n_self, n_dup = canonical_edges(raw[:, 0], raw[:, 1])
+    got, n_self, n_dup = canonical_edges(raw[:, 0], raw[:, 1], 8)
     want, diag = oracle_canonical_edges(raw)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)

@@ -73,15 +73,17 @@ def csr(num_rows, num_cols, row_offsets, col_indices, values=None):
     (csr(2**32, 2**32, [0], []), "has 2\\*\\*63 positions or more"),
     (csr(2, 2, [0, 2, 3], [0, 1, 0]), "zero diagonal"),
     (csr(3, 3, [0, 1, 2, 2], [1, 2]), "adjacency must be symmetric"),
-    # the same structure both ways, but (0, 1) != (1, 0)
-    (csr(2, 2, [0, 1, 2], [1, 0], [1.0, 2.0]), "adjacency must be symmetric"),
+    # degrees count entries, so a stored value other than 1.0 is refused, not
+    # dropped: the same structure both ways with (0, 1) != (1, 0), and with equal weights
+    (csr(2, 2, [0, 1, 2], [1, 0], [1.0, 2.0]), "adjacency must be binary"),
+    (csr(2, 2, [0, 1, 2], [1, 0], [2.0, 2.0]), "adjacency must be binary"),
     # the 3-cycle 0->1->2->0: every degree is 1, yet no edge has its reverse
     (csr(3, 3, [0, 1, 2, 3], [1, 2, 0]), "adjacency must be symmetric"),
-    # unit values need no value check, but the pattern is still checked
+    # values stored once as ones are binary, and the pattern is still checked
     (csr(3, 3, [0, 1, 2, 2], [1, 2], unit_values(2)), "adjacency must be symmetric"),
     (csr(3, 3, [0, 1, 2, 3], [1, 2, 0], unit_values(3)), "adjacency must be symmetric"),
 ], ids=["not-square", "past-int64-keys", "diagonal", "not-symmetric", "unequal-values",
-        "directed-cycle", "not-symmetric-unit", "directed-cycle-unit"])
+        "symmetric-weighted", "directed-cycle", "not-symmetric-unit", "directed-cycle-unit"])
 def test_normalize_rejects_what_is_not_a_simple_undirected_graph(adj, message):
     with pytest.raises(ValueError, match=message):
         normalize_sym(adj)

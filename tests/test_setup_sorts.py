@@ -2,10 +2,13 @@
 
 `sort_oracle` keeps each replaced `np.lexsort` verbatim. Canonical edges, the
 adjacency and its normalization, feature samples and loaded bags must equal
-its outputs exactly, on ids across the whole int64 range, on mixed bag sizes and
-on features files whose lines are out of node order. A last test runs the
+its outputs exactly, on node ids up to the largest count whose int64 keys
+`u * n + v` cannot overflow, on mixed bag sizes and on features files whose
+lines are out of node order. A last test runs the
 set-up path with `np.lexsort` disabled.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from test_data_properties import make_dataset
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
-INT64 = st.integers(-2**63, 2**63 - 1)
 
 
 def assert_same(got, want):
@@ -31,29 +33,72 @@ def assert_same(got, want):
 
 # --- edges and CSR -------------------------------------------------------------
 
-@SETTINGS
-@given(pool=st.lists(INT64, min_size=1, max_size=8, unique=True), data=st.data())
-def test_canonical_edges_matches_lexsort_over_all_int64(pool, data):
-    # a few ids from the whole range, so pairs share endpoints and repeat in
-    # both orders; a combined key over these ids would overflow
+# the largest node count whose keys `u * n + v` fit int64: n * n < 2**63 <= (n + 1)**2
+N_LAST = 3_037_000_499
+node_counts = st.one_of(st.integers(1, 40), st.integers(1, N_LAST))
+
+
+def drawn_pairs(data, n, min_ids=1):
+    """(E, 2) pairs over a few ids of [0, n), so pairs share endpoints, loop and
+    repeat in both orders."""
+    pool = data.draw(st.lists(st.integers(0, n - 1), min_size=min(min_ids, n), max_size=8,
+                              unique=True))
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
                                max_size=60))
-    raw = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    got, n_self, n_dup = canonical_edges(raw[:, 0], raw[:, 1])
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@SETTINGS
+@given(n=node_counts, data=st.data())
+def test_canonical_edges_matches_lexsort(n, data):
+    raw = drawn_pairs(data, n)
+    got, n_self, n_dup = canonical_edges(raw[:, 0], raw[:, 1], n)
     want, w_self, w_dup = sort_oracle.canonical_edges(raw)
     assert_same(got, want)
     assert (n_self, n_dup) == (w_self, w_dup)
 
 
+def test_canonical_edges_sorts_ids_next_to_the_largest_node_count():
+    # every pair of the ids nearest n, in both orders, with loops and repeats:
+    # their keys are the largest that fit int64
+    ids = [N_LAST - 1, N_LAST - 2, N_LAST - 3, 1, 0]
+    raw = np.array([(a, b) for a in ids for b in ids] * 2, dtype=np.int64)
+    raw = raw[np.random.default_rng(0).permutation(len(raw))]
+    got, n_self, n_dup = canonical_edges(raw[:, 0], raw[:, 1], N_LAST)
+    want, w_self, w_dup = sort_oracle.canonical_edges(raw)
+    assert_same(got, want)
+    assert (n_self, n_dup) == (w_self, w_dup) == (10, 30)
+    assert got[-1].tolist() == [N_LAST - 2, N_LAST - 1]
+
+
+def test_canonical_edges_refuses_node_counts_past_int64_keys(monkeypatch):
+    # refused before a key is formed, which at this count could overflow
+    monkeypatch.setattr(np, "unique", refuse_sort)
+    for n in (N_LAST + 1, 2**62):
+        with pytest.raises(ValueError, match=f"^a {n}x{n} CSR matrix has 2\\*\\*63 positions"):
+            canonical_edges(np.array([1, N_LAST]), np.array([0, N_LAST - 1]), n)
+
+
+@pytest.mark.parametrize("u, v, bad", [
+    ([1, 5], [0, 2], "(5, 2)"),
+    ([1, 0], [-1, 2], "(1, -1)"),
+    ([2, 0], [1, 4], "(0, 4)"),
+    ([-2**63, 3], [2**63 - 1, 3], "(-9223372036854775808, 9223372036854775807)"),
+])
+def test_canonical_edges_refuses_ids_outside_the_nodes(u, v, bad):
+    # the input is not canonical, so it would be keyed and sorted
+    with pytest.raises(ValueError, match=re.escape(f"edge {bad} references a node outside [0, 4)")):
+        canonical_edges(np.array(u), np.array(v), 4)
+
+
 @SETTINGS
-@given(pool=st.lists(INT64, min_size=2, max_size=8, unique=True), data=st.data())
-def test_canonical_edges_keeps_canonical_input_without_sorting(pool, data, monkeypatch):
-    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
-                               max_size=60))
-    canon = sort_oracle.canonical_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2))[0]
+@given(n=node_counts, data=st.data())
+def test_canonical_edges_keeps_canonical_input_without_sorting(n, data, monkeypatch):
+    canon = sort_oracle.canonical_edges(drawn_pairs(data, n, min_ids=2))[0]
     with monkeypatch.context() as patch:
-        patch.setattr(np, "argsort", refuse_sort)
-        got, n_self, n_dup = canonical_edges(canon[:, 0], canon[:, 1])
+        for sort in ("unique", "sort", "argsort"):
+            patch.setattr(np, sort, refuse_sort)
+        got, n_self, n_dup = canonical_edges(canon[:, 0], canon[:, 1], n)
     assert_same(got, canon)
     assert (n_self, n_dup) == (0, 0)
     if len(canon):
@@ -61,10 +106,10 @@ def test_canonical_edges_keeps_canonical_input_without_sorting(pool, data, monke
         k = data.draw(st.integers(0, len(canon) - 1))
         flipped = canon.copy()
         flipped[k] = flipped[k, ::-1]
-        assert_same(canonical_edges(flipped[:, 0], flipped[:, 1])[0], canon)
+        assert_same(canonical_edges(flipped[:, 0], flipped[:, 1], n)[0], canon)
         swapped = canon.copy()
         swapped[[k, k - 1]] = swapped[[k - 1, k]]
-        assert_same(canonical_edges(swapped[:, 0], swapped[:, 1])[0], canon)
+        assert_same(canonical_edges(swapped[:, 0], swapped[:, 1], n)[0], canon)
 
 
 def refuse_sort(*args, **kwargs):

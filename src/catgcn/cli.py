@@ -257,10 +257,13 @@ def _check_fits(path: str, params, config, dataset) -> None:
 def cmd_eval(args) -> int:
     params, config_dict, _ = load_checkpoint(args.checkpoint)
     config = _stored_config(args.checkpoint, "checkpoint", config_dict)
-    dataset = load_dataset(args.edges, args.features, args.labels)
-    _check_fits(args.checkpoint, params, config, dataset)
-    norm_adj, split, sample = run_inputs(dataset, config)
-    _emit(split_scores(model_forward(params, sample, norm_adj, config), dataset.labels, split))
+    # the dataset's one reference, popped into `run_inputs`, which frees the
+    # bags and the edges as soon as it has read them
+    held = [load_dataset(args.edges, args.features, args.labels)]
+    _check_fits(args.checkpoint, params, config, held[0])
+    labels = held[0].labels
+    norm_adj, split, sample = run_inputs(held.pop(), config)
+    _emit(split_scores(model_forward(params, sample, norm_adj, config), labels, split))
     return 0
 
 

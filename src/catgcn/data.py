@@ -385,8 +385,9 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Each line's ids are sorted in place, the lines of one size as (lines,
     size) blocks (`_bag_blocks`). An id repeated on a line
     sorts next to its twin under any sort, which is how such a line is found
-    and rejected. Lines out of node order are then moved whole. Weights that
-    are `unit_values` stay so, and are neither sorted nor moved.
+    and rejected. Lines out of node order are then moved whole, in windows
+    (`_move_lines`), once the file's bytes are freed. Weights that are
+    `unit_values` stay so, and are neither sorted nor moved.
     """
     lines, nodes, sizes, bad, fids, weights = _parse("features", path)
     unit = is_unit(weights)
@@ -415,14 +416,37 @@ def _load_features(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # nodes is a permutation of range(num_nodes): node u's line is line_of[u]
         line_of = np.empty(num_nodes, dtype=np.int64)
         line_of[nodes] = np.arange(num_nodes)
-        bag_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(sizes[line_of], out=bag_offsets[1:])
-        src = np.repeat(offsets[line_of] - bag_offsets[:-1], sizes[line_of])
-        src += np.arange(len(fids))
-        fids, offsets = fids[src], bag_offsets
+        # the file's bytes and per-line arrays are freed before the bags are copied
+        del lines, nodes, bad
+        sizes, line_offsets = sizes[line_of], offsets[line_of]
+        offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        fids = _move_lines(fids, line_offsets, offsets, sizes)
         if not unit:
-            weights = weights[src]
+            weights = _move_lines(weights, line_offsets, offsets, sizes)
     return offsets, fids, weights
+
+
+def _move_lines(flat, line_offsets, bag_offsets, sizes):
+    """A copy of `flat` with node u's `sizes[u]` entries, at `line_offsets[u]`,
+    moved to `bag_offsets[u]`.
+
+    The lines move in runs of nodes of about `SETUP_CHUNK_BYTES` of int64
+    source positions (a longer line is a run of its own), so beyond the copy
+    only window-sized temporaries are allocated.
+    """
+    out = np.empty_like(flat)
+    step = SETUP_CHUNK_BYTES // 8
+    lo = 0
+    while lo < len(sizes):
+        # the last node whose entries still end within the window, or the next node
+        hi = max(lo + 1, int(np.searchsorted(bag_offsets, bag_offsets[lo] + step,
+                                             side="right")) - 1)
+        src = np.repeat(line_offsets[lo:hi] - bag_offsets[lo:hi], sizes[lo:hi])
+        src += np.arange(bag_offsets[lo], bag_offsets[hi])
+        out[bag_offsets[lo]:bag_offsets[hi]] = flat[src]
+        lo = hi
+    return out
 
 
 def _load_edges(path: str, num_nodes: int) -> tuple[np.ndarray, int, int]:
@@ -430,6 +454,8 @@ def _load_edges(path: str, num_nodes: int) -> tuple[np.ndarray, int, int]:
     lines, u, _, bad, v, _ = _parse("edges", path, num_nodes)
     bad |= np.maximum(u, v) >= num_nodes
     _raise_first_fault("edges", path, lines, bad, num_nodes=num_nodes)
+    # the file's bytes and per-line positions are freed before the edges are copied
+    del lines, bad
     return canonical_edges(u, v, num_nodes)
 
 

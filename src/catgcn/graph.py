@@ -78,20 +78,20 @@ def canonical_edges(u, v, num_nodes: int) -> tuple[np.ndarray, int, int]:
     The result is (E, 2) int64 in ascending (u, v) order with u < v: self loops
     are dropped and each pair, in either order, is kept once. That form is
     unique, so edges already in it, found by one O(E) check, are kept as given.
+    Ids must lie in [0, num_nodes) in either case (ValueError otherwise).
 
-    Any other edges must have their ids in [0, num_nodes) (ValueError
-    otherwise). Each pair is then keyed by its row-major position
-    `min * num_nodes + max`, which orders pairs as (u, v) does; the keys are
+    Any other edges are keyed by their row-major positions
+    `min * num_nodes + max`, which order pairs as (u, v) does; the keys are
     sorted and deduplicated by one `np.unique`, and each is decoded back
     into its pair.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
+    n = num_nodes
+    _check_ids(u, v, n)
     n_raw = len(u)
     if _is_canonical(u, v):
         return np.column_stack([u, v]), 0, 0
-    n = num_nodes
-    _check_ids(u, v, n)
     _check_positions(n)
     keep = u != v
     u, v = u[keep], v[keep]
@@ -124,10 +124,11 @@ def build_adjacency(edges, num_nodes: int) -> CsrMatrix:
     if n < 1:
         raise ValueError(f"num_nodes must be >= 1, got {n}")
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    _check_ids(e[:, 0], e[:, 1], n)
+    if _is_canonical(e[:, 0], e[:, 1]):
+        _check_ids(e[:, 0], e[:, 1], n)
+    else:
+        e = canonical_edges(e[:, 0], e[:, 1], n)[0]  # which checks the ids itself
     _check_positions(n)
-    if not _is_canonical(e[:, 0], e[:, 1]):
-        e = canonical_edges(e[:, 0], e[:, 1], n)[0]
     u, v = e[:, 0], e[:, 1]
     # the outputs are allocated before the temporaries: a long-lived block
     # allocated after them would pin the freed memory above it in the heap

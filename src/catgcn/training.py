@@ -256,10 +256,31 @@ def _monitor_value(config, logits, labels, val_ids, val_acc, val_f1) -> float:
 
 def run_inputs(dataset: RawDataset, config: TrainConfig):
     """(normalized adjacency, split, base feature sample) of a run: what `train`
-    trains and scores on and what `catgcn eval` scores a checkpoint on."""
-    norm_adj, _ = normalize_sym(build_adjacency(dataset.edges, dataset.num_nodes))
-    return (norm_adj, make_split(dataset, config.seed),
-            sample_features(dataset, config.n_f, config.seed))
+    trains and scores on and what `catgcn eval` scores a checkpoint on.
+
+    Each output depends on the dataset alone, so the order they are made in
+    changes no byte; it is chosen so that a caller handing over its only
+    reference to the dataset (`catgcn eval`) has each input freed once read:
+
+    - the split and the sample come first, as they are the only readers of
+      the labels and the feature bags;
+    - the dataset is dropped before `build_adjacency`, which frees the bags
+      (and the labels, which the caller keeps itself if it scores them), so
+      adjacency building fits in the memory they held;
+    - the edge list is dropped before `normalize_sym`, as the adjacency holds
+      every edge in both directions.
+
+    A caller that keeps its dataset (`train` resamples from it, `grid` trains
+    later cells on it) frees nothing here.
+    """
+    split = make_split(dataset, config.seed)
+    sample = sample_features(dataset, config.n_f, config.seed)
+    edges, num_nodes = dataset.edges, dataset.num_nodes
+    del dataset
+    adj = build_adjacency(edges, num_nodes)
+    del edges
+    norm_adj, _ = normalize_sym(adj)
+    return norm_adj, split, sample
 
 
 def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResult:

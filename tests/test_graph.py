@@ -1,13 +1,15 @@
 """Sparse graph operators: CSR building, symmetric normalization, propagation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catgcn.graph
-from catgcn.graph import (CsrMatrix, build_adjacency, normalize_sym, propagate, spmm,
-                          unit_values)
+from catgcn.graph import (CsrMatrix, build_adjacency, canonical_edges, normalize_sym, propagate,
+                          spmm, unit_values)
 
 
 def dense_norm(edges, n):
@@ -33,6 +35,14 @@ def test_build_adjacency_rejects_out_of_range():
         build_adjacency(np.array([[0, 5]]), 3)
     with pytest.raises(ValueError, match="outside"):
         build_adjacency(np.array([[-1, 0]]), 3)
+
+
+@pytest.mark.parametrize("u, v", [([0], [5]), ([5], [0]), ([-1, 0], [0, 1])])
+def test_canonical_edges_refuses_ids_outside_the_nodes_in_any_order(u, v):
+    # (0, 5) and (-1, 0), (0, 1) are already in canonical order, (5, 0) is not:
+    # the ids are checked before the canonical shortcut as well
+    with pytest.raises(ValueError, match=re.escape("references a node outside [0, 3)")):
+        canonical_edges(np.array(u), np.array(v), 3)
 
 
 def test_normalize_frozen_path_graph():

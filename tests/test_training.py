@@ -1,6 +1,7 @@
 """Training loop parts: init, Adam, metrics, early stopping, grid search."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catgcn.autodiff import Tensor
-from catgcn.data import generate_synthetic
+from catgcn.data import generate_synthetic, make_split, sample_features
+from catgcn.graph import build_adjacency, normalize_sym
+from catgcn.model import model_forward
 from catgcn.rng import derive_cell_seed
 from catgcn.training import (
     AdamState,
@@ -23,6 +26,8 @@ from catgcn.training import (
     grid_search,
     held_out_metrics,
     init_adam,
+    run_inputs,
+    split_scores,
     train,
     xavier_init,
 )
@@ -600,3 +605,76 @@ def test_epoch_wall_time_counts_one_epoch(monkeypatch):
     cfg = TrainConfig(**{**_LOOP_BASE, "max_epochs": 4, "patience": 4})
     result = train(cfg, _LOOP_DS)
     assert [r.wall_time_s for r in result.records] == [1.0, 2.0, 3.0, 4.25]
+
+
+# --- run inputs ------------------------------------------------------------
+
+_BAGS = ("bag_offsets", "bag_ids", "bag_weights")
+
+
+def inputs_dataset():
+    return generate_synthetic("homophily", 300, 60, 3, 4, 0.05, 0.005, seed=4)
+
+
+def handed_over_dataset():
+    """([dataset], weak references to its bag arrays and its edge list): the
+    list holds the dataset's only reference, to be popped into a call."""
+    ds = inputs_dataset()
+    refs = {name: weakref.ref(getattr(ds, name)) for name in (*_BAGS, "edges")}
+    return [ds], refs
+
+
+_INPUTS_CONFIG = TrainConfig(n_f=6, d_emb=8, d_hidden=8, max_epochs=4, seed=7)
+
+
+def test_run_inputs_frees_what_it_was_handed_once_read(monkeypatch):
+    import catgcn.training as training
+
+    held, refs = handed_over_dataset()
+    alive = {}
+
+    def probing_build_adjacency(edges, num_nodes):
+        alive["bags at adjacency"] = [n for n in _BAGS if refs[n]() is not None]
+        return build_adjacency(edges, num_nodes)
+
+    def probing_normalize_sym(adj):
+        alive["edges at normalization"] = refs["edges"]() is not None
+        return normalize_sym(adj)
+
+    monkeypatch.setattr(training, "build_adjacency", probing_build_adjacency)
+    monkeypatch.setattr(training, "normalize_sym", probing_normalize_sym)
+    assert all(ref() is not None for ref in refs.values())
+    run_inputs(held.pop(), _INPUTS_CONFIG)
+    assert alive == {"bags at adjacency": [], "edges at normalization": False}
+
+
+def test_run_inputs_of_a_kept_dataset_are_its_parts_bytes():
+    # a caller keeping its dataset gets what the parts give in any order,
+    # and its dataset stays whole
+    ds = inputs_dataset()
+    arrays = {name: getattr(ds, name) for name in (*_BAGS, "edges")}
+    norm, split, sample = run_inputs(ds, _INPUTS_CONFIG)
+    want_norm, _ = normalize_sym(build_adjacency(ds.edges, ds.num_nodes))
+    want_split = make_split(ds, _INPUTS_CONFIG.seed)
+    want_sample = sample_features(ds, _INPUTS_CONFIG.n_f, _INPUTS_CONFIG.seed)
+    for got, want in ((norm, want_norm), (split, want_split), (sample, want_sample)):
+        for f in dataclasses.fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            else:
+                assert a == b
+    assert all(getattr(ds, name) is array for name, array in arrays.items())
+
+
+def test_handed_over_inputs_score_the_held_out_metrics():
+    # what `catgcn eval` does with its dataset, against the training run's metrics
+    held, _ = handed_over_dataset()
+    kept = inputs_dataset()
+    result = train(_INPUTS_CONFIG, kept)
+    labels = held[0].labels
+    norm, split, sample = run_inputs(held.pop(), _INPUTS_CONFIG)
+    scores = split_scores(model_forward(result.params, sample, norm, _INPUTS_CONFIG),
+                          labels, split)
+    metrics = held_out_metrics(result, kept)
+    assert scores == {k: metrics[k] for k in scores}

@@ -185,19 +185,22 @@ def cmd_train(args) -> int:
         config = _resolve_config(args)
         edges, features, labels = args.edges, args.features, args.labels
 
-    dataset = load_dataset(edges, features, labels)
+    # the dataset's one reference, popped into `train`, which frees the bags
+    # and the edges before its first step unless it resamples
+    held = [load_dataset(edges, features, labels)]
     fingerprint = dataset_fingerprint(edges, features, labels)
     if want_fingerprint is not None and fingerprint != want_fingerprint:
         raise DataError(
             "replay fingerprint mismatch: the dataset files changed since the original run"
         )
-    _say(f"loaded {dataset.num_nodes} nodes, {len(dataset.edges)} edges, "
-         f"{dataset.num_features} features, {dataset.num_classes} classes")
+    _say(f"loaded {held[0].num_nodes} nodes, {len(held[0].edges)} edges, "
+         f"{held[0].num_features} features, {held[0].num_classes} classes")
+    node_labels = held[0].labels
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    result = train(config, dataset, progress=_progress if not args.quiet else None)
-    metrics = held_out_metrics(result, dataset)
+    result = train(config, held.pop(), progress=_progress if not args.quiet else None)
+    metrics = held_out_metrics(result, node_labels)
 
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
     epochs_path = os.path.join(out_dir, "epochs.jsonl")

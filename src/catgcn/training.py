@@ -260,7 +260,8 @@ def run_inputs(dataset: RawDataset, config: TrainConfig):
 
     Each output depends on the dataset alone, so the order they are made in
     changes no byte; it is chosen so that a caller handing over its only
-    reference to the dataset (`catgcn eval`) has each input freed once read:
+    reference to the dataset (`catgcn eval`, and `catgcn train` through a
+    `train` that does not resample) has each input freed once read:
 
     - the split and the sample come first, as they are the only readers of
       the labels and the feature bags;
@@ -270,8 +271,9 @@ def run_inputs(dataset: RawDataset, config: TrainConfig):
     - the edge list is dropped before `normalize_sym`, as the adjacency holds
       every edge in both directions.
 
-    A caller that keeps its dataset (`train` resamples from it, `grid` trains
-    later cells on it) frees nothing here.
+    A caller that keeps its dataset (`train` when it resamples every epoch,
+    `grid`, which trains later cells on it, or a Python caller) frees nothing
+    here.
     """
     split = make_split(dataset, config.seed)
     sample = sample_features(dataset, config.n_f, config.seed)
@@ -298,11 +300,24 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
     t+1 for its forward alone. With dropout or resampling the training step's
     forward applies masks or another sample, and every epoch runs its own
     `model_forward` after its update.
+
+    Memory: `train` reads the feature and class counts and the labels first.
+    Without `resample_per_epoch` nothing reads the bags after the base
+    sample, so `train` passes its own reference to the dataset on to
+    `run_inputs`; when the caller handed over its only one (`catgcn train`),
+    the bags and the edge list are freed there, before the first step. A
+    caller that keeps its dataset keeps it whole. Each step's gradients are
+    dropped once Adam has applied them, so they are not alive through the
+    next step.
     """
-    norm_adj, split, sample = run_inputs(dataset, config)
-    params = xavier_init(dataset.num_features, dataset.num_classes, config)
+    num_features, num_classes, labels = dataset.num_features, dataset.num_classes, dataset.labels
+    # resampling reads the bags every epoch; otherwise `run_inputs` gets this reference
+    resample_from = dataset if config.resample_per_epoch else None
+    held = [dataset]
+    del dataset
+    norm_adj, split, sample = run_inputs(held.pop(), config)
+    params = xavier_init(num_features, num_classes, config)
     state = init_adam(params)
-    labels = dataset.labels
     reuse_taped = config.dropout == 0.0 and not config.resample_per_epoch
 
     stopper = EarlyStopper(config.patience)
@@ -340,7 +355,7 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
         epoch_sample = sample
         if config.resample_per_epoch and epoch > 1:
             epoch_sample = sample_features(
-                dataset, config.n_f, derive_cell_seed(config.seed, epoch)
+                resample_from, config.n_f, derive_cell_seed(config.seed, epoch)
             )
         loss_value, grads, logits = training_step(
             params, epoch_sample, norm_adj, config, labels, split.train_ids, epoch=epoch
@@ -352,6 +367,7 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
         if not np.isfinite(loss_value):
             raise TrainingDiverged(epoch, records)
         adam_step(params, grads, state, config.learning_rate)
+        del grads  # applied: not alive through the next step
         pending = (epoch, loss_value, time.monotonic() - t0)
         # reusing taped logits, the next step scores this update; the last
         # update has no next step
@@ -375,19 +391,25 @@ def train(config: TrainConfig, dataset: RawDataset, progress=None) -> TrainResul
     )
 
 
-def held_out_metrics(result: TrainResult, dataset: RawDataset) -> dict:
+def held_out_metrics(result: TrainResult, labels: np.ndarray | RawDataset) -> dict:
     """`split_scores` of the returned parameters, plus `best_epoch` and `epochs_run`.
+
+    `labels` are the run's (N,) node labels, or a dataset, whose labels are
+    the only part read; a caller that handed its dataset to `train` keeps
+    the labels for this.
 
     Scores the selected epoch's validation logits that `train` kept, which
     are `model_forward`'s logits for the returned parameters; a result without
     them (built by hand, or a run whose monitor was never finite) runs that
     forward here.
     """
+    if isinstance(labels, RawDataset):
+        labels = labels.labels
     logits = result.val_logits
     if logits is None:
         logits = model_forward(result.params, result.sample, result.norm_adj, result.config)
     return {
-        **split_scores(logits, dataset.labels, result.split),
+        **split_scores(logits, labels, result.split),
         "best_epoch": result.best_epoch,
         "epochs_run": len(result.records),
     }
@@ -438,7 +460,7 @@ def _grid_worker(task) -> dict:
     entry = {"cell": idx, "config": asdict(config)}
     try:
         result = train(config, _GRID_DATASET)
-        entry.update(held_out_metrics(result, _GRID_DATASET))
+        entry.update(held_out_metrics(result, _GRID_DATASET.labels))
         entry["best_val_macro_f1"] = _best_val_f1(result)
     except TrainingDiverged as exc:
         entry.update(failed=True, error=str(exc))

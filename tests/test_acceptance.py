@@ -262,7 +262,8 @@ res = train(cfg, ds)
 elapsed = time.perf_counter() - t0
 usage = resource.getrusage(resource.RUSAGE_SELF)
 cpu = usage.ru_utime + usage.ru_stime
-print(len(res.records), f"{elapsed:.3f}", f"{cpu:.3f}", f"{usage.ru_maxrss / 1024.0:.1f}")
+print(len(res.records), f"{elapsed:.3f}", f"{cpu:.3f}", f"{usage.ru_maxrss / 1024.0:.1f}",
+      usage.ru_minflt)
 """
 
 
@@ -272,9 +273,10 @@ def test_criterion_10_scale_sanity():
                           capture_output=True, text=True, timeout=290)
     assert proc.returncode == 0, proc.stderr
     # the gate is wall time; the child's CPU time beside it tells a slow run
-    # from one that waited for a shared host's cores
-    epochs, elapsed, cpu, peak_mb = proc.stdout.split()
+    # from one that waited for a shared host's cores, and its minor page
+    # faults show how much of the run went to faulting freed heap back in
+    epochs, elapsed, cpu, peak_mb, minflt = proc.stdout.split()
     ok = int(epochs) == 100 and float(elapsed) < 60.0 and float(peak_mb) < 1024.0
     _verdict(10, "10k nodes x 1k features, 100 epochs, 2 hops",
-             ok, f"{elapsed}s wall (<60s), {cpu}s CPU, peak {peak_mb}MB (<1024MB), "
-                 f"epochs={epochs}")
+             ok, f"{elapsed}s wall (<60s), {cpu}s CPU, {minflt} minor faults, "
+                 f"peak {peak_mb}MB (<1024MB), epochs={epochs}")

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -82,6 +83,49 @@ def test_train_twice_is_bit_identical(dataset_dir, tmp_path, capsys):
     run(capsys, *args, "--out-dir", str(tmp_path / "b"))
     assert (tmp_path / "a/epochs.jsonl").read_bytes() == (tmp_path / "b/epochs.jsonl").read_bytes()
     assert (tmp_path / "a/checkpoint.bin").read_bytes() == (tmp_path / "b/checkpoint.bin").read_bytes()
+
+
+@pytest.mark.parametrize("resample", ["false", "true"])
+def test_train_hands_its_dataset_over(dataset_dir, tmp_path, capsys, monkeypatch, resample):
+    # without resampling the bags and the edge list are dead at the first
+    # step; the run writes the bytes of one whose dataset stays alive
+    import catgcn.cli as cli
+    import catgcn.training as training
+
+    load, step = cli.load_dataset, training.training_step
+    names = ("bag_offsets", "bag_ids", "bag_weights", "edges")
+
+    def train_run(keep):
+        """(the names of `names` alive at each step, stdout and artifact bytes)."""
+        refs, alive, kept = {}, [], []
+
+        def loading(*args):
+            ds = load(*args)
+            refs.update({n: weakref.ref(getattr(ds, n)) for n in names})
+            if keep:
+                kept.append(ds)
+            return ds
+
+        def probing(*args, **kwargs):
+            alive.append([n for n, ref in refs.items() if ref() is not None])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", loading)
+        monkeypatch.setattr(training, "training_step", probing)
+        out_dir = tmp_path / f"keep-{keep}"
+        code, out, _ = run(capsys, "train", *data_args(dataset_dir), "--max-epochs", "3",
+                           "--d-emb", "8", "--d-hidden", "8", "--n-f", "6", "--seed", "5",
+                           "--quiet", "--resample-per-epoch", resample,
+                           "--out-dir", str(out_dir))
+        assert code == 0
+        return alive, (out, (out_dir / "epochs.jsonl").read_bytes(),
+                       (out_dir / "checkpoint.bin").read_bytes())
+
+    kept_alive, kept_bytes = train_run(keep=True)
+    handed_alive, handed_bytes = train_run(keep=False)
+    assert handed_bytes == kept_bytes
+    assert kept_alive == [list(names)] * 3
+    assert handed_alive == [list(names) if resample == "true" else []] * 3
 
 
 def test_eval_reproduces_train_metrics(dataset_dir, tmp_path, capsys):

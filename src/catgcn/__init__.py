@@ -5,7 +5,7 @@ embedded feature set (a bilinear pairwise pooling and a probe-filtered global
 mixing), fused late and propagated over the symmetrically normalized graph.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .autodiff import (Tape, Tensor, artificial_propagate, backward, finite_diff_check,
                        local_biinteraction)

@@ -33,6 +33,27 @@ from .model import ModelParams
 MAGIC = b"CATGCKPT"
 FORMAT_VERSION = 1
 _PREAMBLE = 20  # magic, version, header length
+# the first package version that draws the split and the init from counter keys
+DRAWS_VERSION = (0, 2, 0)
+
+
+def refuse_older_draws(path: str, kind: str, version, consequence: str) -> None:
+    """DataError naming `path` unless the package `version` that wrote this
+    checkpoint or manifest (`kind`) draws the split and init as this one does.
+
+    `consequence` says what an older artifact would get wrong. A version that
+    is not a dotted string of integers counts as older.
+    """
+    try:
+        older = tuple(int(x) for x in version.split(".")) < DRAWS_VERSION
+    except (AttributeError, ValueError):
+        older = True
+    if older:
+        raise DataError(
+            f"{path}: {kind} version {version!r} predates "
+            f"{'.'.join(map(str, DRAWS_VERSION))}, which draws another split and init: "
+            f"{consequence}"
+        )
 
 
 def save_checkpoint(path: str, params: ModelParams, config: dict, seed: int) -> None:
@@ -65,7 +86,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict, int]:
 
     Raises DataError naming `path` for a file that is not a whole, well-formed
     checkpoint: bad magic or version, a header or payload cut short, or a section table
-    that overruns the payload, repeats a section, or names one unknown or misses one required.
+    that overruns the payload, repeats a section, or names one unknown or misses one
+    required; and for one written by a package version older than `DRAWS_VERSION`,
+    whose config implies a split it was not trained on.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -88,6 +111,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict, int]:
         raise DataError(f"{path}: malformed checkpoint header: {exc}") from None
     if not isinstance(sections, list) or not isinstance(config, dict):
         raise DataError(f"{path}: malformed checkpoint header: bad sections or config")
+    refuse_older_draws(path, "checkpoint", header.get("version"),
+                       "its test nodes here would include nodes it trained on")
     payload = blob[_PREAMBLE + hlen :]
     if len(payload) % 8:
         raise DataError(

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, refuse_older_draws, save_checkpoint
 from .data import (
     DataError,
     SYNTH_KINDS,
@@ -158,6 +158,8 @@ def _read_manifest(path: str) -> tuple[TrainConfig, dict]:
         raise DataError(f"{path}: manifest is not JSON: {exc}") from None
     if not isinstance(manifest, dict) or "config" not in manifest:
         raise DataError(f"{path}: manifest has no config")
+    refuse_older_draws(path, "manifest", manifest.get("version"),
+                       "a replay can no longer reproduce its artifacts")
     paths = manifest.get("dataset")
     if not (isinstance(paths, dict)
             and all(isinstance(paths.get(k), str) for k in ("edges", "features", "labels"))):

@@ -17,7 +17,6 @@ is accepted or rejected as it would be line by line.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -543,7 +542,13 @@ def write_dataset(ds: RawDataset, out_dir: str, meta: dict | None = None) -> dic
 
 
 def dataset_fingerprint(edges_path: str, features_path: str, labels_path: str) -> str:
-    """SHA-256 over the three files' bytes, order-fixed; identifies dataset content."""
+    """SHA-256 over the three files' bytes, order-fixed; identifies dataset content.
+
+    `hashlib` loads OpenSSL's libcrypto, which only `catgcn train` needs (for
+    its manifest), so it is imported here rather than with the module.
+    """
+    import hashlib
+
     h = hashlib.sha256()
     for path in (edges_path, features_path, labels_path):
         with open(path, "rb") as fh:
@@ -559,12 +564,17 @@ def split_sizes(n_labeled: int) -> tuple[int, int, int]:
 
 
 def make_split(ds: RawDataset, seed: int) -> SplitAssignment:
-    """Disjoint train/val/test over labeled nodes; unlabeled nodes stay out of every split."""
+    """Disjoint train/val/test over labeled nodes; unlabeled nodes stay out of every split.
+
+    A random-key shuffle: the labeled ids in the order of their keys
+    `counter_keys(seed, SPLIT, id, 0)`, cut at `split_sizes`. Keys of distinct
+    ids are distinct, so the order is unique.
+    """
     labeled = ds.labeled_ids
     if len(labeled) < 10:
         raise DataError(f"need at least 10 labeled nodes to split, got {len(labeled)}")
     n_train, n_val, n_test = split_sizes(len(labeled))
-    perm = stream_rng(seed, SPLIT).permutation(labeled)
+    perm = labeled[np.argsort(counter_keys(seed, SPLIT, labeled, 0))]
     return SplitAssignment(
         train_ids=np.sort(perm[:n_train]),
         val_ids=np.sort(perm[n_train : n_train + n_val]),

@@ -1,21 +1,33 @@
 """Named, splittable random streams and counter-based keys.
 
 Every stochastic choice in the package is a pure function of (seed, stream id,
-counters). Splits, inits, dropout masks and synthesis draw from a
-Philox4x32-10 generator keyed by (seed, stream id, substream id); feature
-sampling instead gives each (node, bag slot) one 64-bit SplitMix64 key,
-`counter_keys(seed, SAMPLE, node, slot)`. Both are seedable and splittable by
-construction, so any implementation that reproduces the key derivation below
-reproduces splits, samples, inits, and dropout masks exactly.
+counters), drawn in one of two ways:
+
+- Counter keys: feature sampling, the split and the Xavier init give each draw
+  one 64-bit SplitMix64 key, `counter_keys(seed, stream, a, b)`: (node, bag
+  slot) for SAMPLE, (node, 0) for SPLIT, (`ModelParams` field index, flat
+  position) for XAVIER. A key needs no generator state, so a draw depends only
+  on its own counters, and computing them loads no `numpy.random`.
+- Philox4x32-10 streams keyed by (seed, stream id, substream id): dropout
+  masks, synthesis and the verification oracles, through `stream_rng`. These
+  draw long variable-length sequences (bounded integers, choices without
+  replacement, binomials) that numpy's generator already makes exactly, and a
+  dropout mask comes faster from Philox than from keys. `numpy.random` loads
+  on the first call.
+
+Both are seedable and splittable by construction, so any implementation that
+reproduces the key derivation below reproduces splits, samples, inits, and
+dropout masks exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Stream ids. Substream meaning depends on the stream: epoch index for DROPOUT,
-# zero elsewhere; SAMPLE keys count nodes and bag slots instead (a per-epoch
-# resample keys them with the seed `derive_cell_seed(seed, epoch)`).
+# Stream ids. A Philox substream is the epoch and site for DROPOUT and zero
+# for SYNTH; the counter-keyed streams (SPLIT, SAMPLE, XAVIER) count their
+# draws instead (a per-epoch resample keys SAMPLE with the seed
+# `derive_cell_seed(seed, epoch)`).
 SPLIT = 1
 SAMPLE = 2
 XAVIER = 3

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-import multiprocessing
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -15,7 +15,7 @@ from .data import DataError, RawDataset, make_split, sample_features
 from .graph import build_adjacency, normalize_sym
 from .interaction import DROPOUT_SITES
 from .model import ModelParams, model_forward, param_shapes, predict, training_step
-from .rng import XAVIER, derive_cell_seed, stream_rng
+from .rng import XAVIER, counter_keys, derive_cell_seed
 
 
 # the values each annotated TrainConfig field type accepts; a bool only where annotated bool
@@ -113,25 +113,36 @@ class TrainingDiverged(RuntimeError):
 
 
 def xavier_init(num_features: int, num_classes: int, config: TrainConfig) -> ModelParams:
-    """Uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero biases, fixed draw order.
+    """Uniform(+-sqrt(6/(fan_in+fan_out))) weights and zero biases, from counter keys.
 
     A weight's fan_in and fan_out are its rows and columns (the embedding
-    table: num_features and d_emb); tensors draw in `ModelParams` order.
+    table: num_features and d_emb). The weight at flat position j of the
+    tensor in `ModelParams` field i is `low + (high - low) * u` with
+    `(low, high) = (-limit, limit)` and `u = (key >> 11) * 2**-53`, the key
+    `counter_keys(seed, XAVIER, i, j)`, so it lies in [-limit, limit) and a
+    tensor's draws depend on no other tensor's (a base tensor draws the same
+    with or without `deep_projection` when its shape is the same).
     A tensor too large to allocate (ids are table rows, so one huge feature
     or class id is enough) raises DataError.
     """
-    rng = stream_rng(config.seed, XAVIER)
+    index = {f.name: i for i, f in enumerate(fields(ModelParams))}
 
-    def init(shape):
+    def init(name, shape):
         if len(shape) == 1:
             return np.zeros(shape)
         limit = np.sqrt(6.0 / sum(shape))
-        return rng.uniform(-limit, limit, size=shape)
+        low, high = -limit, limit
+        keys = counter_keys(config.seed, XAVIER, index[name], np.arange(math.prod(shape)))
+        keys >>= np.uint64(11)
+        w = keys * 2.0**-53  # u, exact: the shifted keys are below 2**53
+        w *= high - low
+        w += low
+        return w.reshape(shape)
 
     params = {}
     for name, shape in param_shapes(num_features, num_classes, config).items():
         try:
-            params[name] = Tensor(init(shape), requires_grad=True)
+            params[name] = Tensor(init(name, shape), requires_grad=True)
         except (MemoryError, ValueError):
             # numpy raises MemoryError when the allocation fails and ValueError
             # when the byte count overflows; feature and class ids size the tensors
@@ -163,23 +174,36 @@ def init_adam(params: ModelParams) -> AdamState:
 def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update in place. Tensors missing from `grads`
     (dead routes) are treated as zero-gradient: moments decay, momentum may
-    still move them."""
+    still move them.
+
+    Per tensor it computes m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g^2 and
+    p <- p - lr (m / bc1) / (sqrt(v / bc2) + eps) in that operation order, in
+    two tensor-sized buffers.
+    """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, tensor in params.named_tensors().items():
         g = grads.get(tensor)
-        if g is None:
-            g = np.zeros_like(tensor.data)
         m = state.m[name]
         v = state.v[name]
+        buf = np.zeros_like(m) if g is None else np.multiply(g, 1.0 - ADAM_BETA1)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += buf
+        if g is not None:
+            np.multiply(g, g, out=buf)
+            buf *= 1.0 - ADAM_BETA2
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
+        v += buf  # a dead route's buffer still holds zeros, (1 - b2) * 0 * 0
         if lr == 0.0:
             continue  # moments updated, parameters bit-for-bit unchanged
-        tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        step = np.divide(m, bc1)
+        step *= lr
+        np.divide(v, bc2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += ADAM_EPS
+        step /= buf
+        tensor.data -= step
 
 
 def accuracy_macro_f1(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> tuple[float, float]:
@@ -478,7 +502,8 @@ def grid_search(dataset: RawDataset, grids: dict, base: TrainConfig, jobs: int =
     Selection is by validation macro-F1, ties resolved to the earliest cell.
     Results are identical for any `jobs` because cells are independent and
     deterministically seeded. At most `jobs` worker processes run, and no more
-    than there are cells; one runs every cell in this process.
+    than there are cells; one runs every cell in this process, and only
+    more than one loads `multiprocessing`.
     """
     tasks = list(enumerate(grid_cells(grids, base)))
     workers = min(jobs, len(tasks))
@@ -486,6 +511,8 @@ def grid_search(dataset: RawDataset, grids: dict, base: TrainConfig, jobs: int =
         _grid_init(dataset)
         results = [_grid_worker(t) for t in tasks]
     else:
+        import multiprocessing
+
         with multiprocessing.Pool(workers, initializer=_grid_init, initargs=(dataset,)) as pool:
             results = pool.map(_grid_worker, tasks)
     best_idx = None

@@ -19,6 +19,12 @@ from catgcn.training import TrainConfig
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def child_env():
+    """This environment with the checkout's `src` first on a child's PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -401,10 +407,15 @@ def test_non_utf8_dataset_is_data_error(dataset_dir, tmp_path, capsys, where):
 
 def rewrite_checkpoint_config(src, dst, **changes):
     """Copy a checkpoint with its header's config updated by `changes`."""
+    rewrite_checkpoint_header(src, dst, lambda header: header["config"].update(changes))
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy a checkpoint with its header dict changed in place by `edit`."""
     blob = src.read_bytes()
     (hlen,) = struct.unpack_from("<Q", blob, 12)
     header = json.loads(blob[20:20 + hlen])
-    header["config"].update(changes)
+    edit(header)
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     dst.write_bytes(blob[:12] + struct.pack("<Q", len(raw)) + raw + blob[20 + hlen:])
 
@@ -457,6 +468,19 @@ def test_checkpoint_config_of_wrong_type_is_data_error(small_checkpoint, dataset
     assert f"{bad}: bad checkpoint config: {field} must be of type {kind}" in err
 
 
+_OLDER = "predates 0.2.0, which draws another split and init: "
+
+
+def test_eval_refuses_a_checkpoint_older_than_its_draws(small_checkpoint, dataset_dir,
+                                                          tmp_path, capsys):
+    old = tmp_path / "old.bin"
+    rewrite_checkpoint_header(small_checkpoint, old, lambda h: h.update(version="0.1.0"))
+    code, out, err = run(capsys, "eval", "--checkpoint", str(old), *data_args(dataset_dir))
+    assert (code, out) == (3, "")
+    assert err == (f"error: {old}: checkpoint version '0.1.0' {_OLDER}"
+                   "its test nodes here would include nodes it trained on\n")
+
+
 @pytest.fixture(scope="module")
 def small_manifest(small_checkpoint):
     return json.loads((small_checkpoint.parent / "manifest.json").read_text())
@@ -485,6 +509,19 @@ def test_replay_of_bad_manifest_is_data_error(small_manifest, tmp_path, capsys, 
                        "--out-dir", str(tmp_path / "out"))
     assert code == 3
     assert f"{path}: {reason}" in err
+
+
+@pytest.mark.parametrize("version", ["0.1.0", None, "two"])
+def test_replay_refuses_a_manifest_older_than_its_draws(small_manifest, tmp_path, capsys,
+                                                          version):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**small_manifest, "version": version}))
+    code, out, err = run(capsys, "train", "--replay", str(path), "--quiet",
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (3, "")
+    assert err == (f"error: {path}: manifest version {version!r} {_OLDER}"
+                   "a replay can no longer reproduce its artifacts\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("feats, classes, message", [
@@ -688,15 +725,44 @@ def test_verify_into_a_closed_pipe_keeps_its_exit_code():
     # check's own result decides the exit code
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     try:
         proc = subprocess.run([sys.executable, "-m", "catgcn", "verify", "--spectrum-n", "4"],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
-                              timeout=120)
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=child_env(), timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# runs `main` in a fresh interpreter, then prints its exit code and which of
+# the modules that only some commands need are loaded
+_MODULE_PROBE = """
+import json, sys
+from catgcn.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("numpy.random", "multiprocessing", "_hashlib")
+                         if m in sys.modules]]))
+"""
+
+
+def loaded_after_main(*argv):
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return loaded
+
+
+def test_commands_load_only_the_modules_they_use(small_checkpoint, dataset_dir, tmp_path):
+    # eval draws nothing and hashes nothing; train hashes its inputs for the
+    # manifest, and draws from numpy.random only for dropout masks
+    assert loaded_after_main("eval", "--checkpoint", str(small_checkpoint),
+                             *data_args(dataset_dir)) == []
+    common = ["train", *data_args(dataset_dir), "--max-epochs", "2", "--d-emb", "8",
+              "--d-hidden", "8", "--n-f", "6", "--quiet"]
+    assert loaded_after_main(*common, "--out-dir", str(tmp_path / "plain")) == ["_hashlib"]
+    assert loaded_after_main(*common, "--dropout", "0.2", "--out-dir",
+                             str(tmp_path / "dropout")) == ["numpy.random", "_hashlib"]
 
 
 def test_verify_theorem_cell_rejects_zero_hops(capsys):

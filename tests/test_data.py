@@ -24,6 +24,7 @@ from catgcn.data import (
     write_dataset,
 )
 from catgcn.graph import build_adjacency, normalize_sym
+from catgcn.rng import SPLIT, counter_keys
 from catgcn.training import TrainConfig, train
 
 
@@ -405,6 +406,20 @@ def test_make_split_deterministic_and_seed_sensitive():
     c = make_split(ds, seed=2)
     assert np.array_equal(a.train_ids, b.train_ids)
     assert not np.array_equal(a.train_ids, c.train_ids)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40])
+def test_make_split_cuts_the_labeled_ids_in_key_order(tmp_path, seed):
+    features = "".join(f"{u}\t{u % 7}\n" for u in range(63))
+    labels = "".join(f"{u}\t{u % 3}\n" for u in range(63) if u % 4 != 3)  # 48 labeled
+    ds = load_dataset(*write_files(tmp_path, "0\t1\n", features, labels))
+    order = sorted((u for u in range(63) if u % 4 != 3),
+                   key=lambda u: int(counter_keys(seed, SPLIT, u, 0)[0]))
+    n_train, n_val, _ = split_sizes(len(order))
+    split = make_split(ds, seed)
+    assert split.train_ids.tolist() == sorted(order[:n_train])
+    assert split.val_ids.tolist() == sorted(order[n_train:n_train + n_val])
+    assert split.test_ids.tolist() == sorted(order[n_train + n_val:])
 
 
 def test_make_split_ignores_unlabeled(tmp_path):
